@@ -1,47 +1,29 @@
 #include "src/machine/cache.h"
 
-#include <cstddef>
+#include <algorithm>
+#include <bit>
+#include <stdexcept>
 
 namespace nsf {
 
 namespace {
-uint32_t Log2(uint32_t v) {
-  uint32_t s = 0;
-  while ((1u << s) < v) {
-    s++;
+uint32_t NumSets(uint32_t size_bytes, uint32_t line_size, uint32_t ways) {
+  if (!std::has_single_bit(line_size) || ways == 0) {
+    throw std::invalid_argument("cache line size must be a power of two and ways nonzero");
   }
-  return s;
+  uint32_t sets = size_bytes / (line_size * ways);
+  if (!std::has_single_bit(sets) || sets * line_size * ways != size_bytes) {
+    throw std::invalid_argument("cache set count must be a power of two");
+  }
+  return sets;
 }
 }  // namespace
 
 CacheModel::CacheModel(uint32_t size_bytes, uint32_t line_size, uint32_t ways)
-    : line_size_(line_size),
-      ways_(ways),
-      num_sets_(size_bytes / (line_size * ways)),
-      line_shift_(Log2(line_size)),
-      sets_(size_t{num_sets_} * ways) {}
-
-bool CacheModel::Access(uint64_t addr) {
-  uint64_t line = addr >> line_shift_;
-  uint32_t set = static_cast<uint32_t>(line % num_sets_);
-  Way* base = &sets_[size_t{set} * ways_];
-  tick_++;
-  Way* victim = base;
-  for (uint32_t w = 0; w < ways_; w++) {
-    if (base[w].tag == line) {
-      base[w].lru = tick_;
-      hits_++;
-      return true;
-    }
-    if (base[w].lru < victim->lru) {
-      victim = &base[w];
-    }
-  }
-  victim->tag = line;
-  victim->lru = tick_;
-  misses_++;
-  return false;
-}
+    : ways_(ways),
+      line_shift_(static_cast<uint32_t>(std::countr_zero(line_size))),
+      set_mask_(NumSets(size_bytes, line_size, ways) - 1),
+      tags_(size_t{set_mask_ + 1} * ways, UINT64_MAX) {}
 
 uint32_t CacheModel::AccessRange(uint64_t addr, uint32_t size) {
   uint32_t miss_count = 0;
@@ -55,13 +37,6 @@ uint32_t CacheModel::AccessRange(uint64_t addr, uint32_t size) {
   return miss_count;
 }
 
-void CacheModel::Reset() {
-  for (Way& w : sets_) {
-    w = Way{};
-  }
-  tick_ = 0;
-  hits_ = 0;
-  misses_ = 0;
-}
+void CacheModel::Reset() { std::fill(tags_.begin(), tags_.end(), UINT64_MAX); }
 
 }  // namespace nsf

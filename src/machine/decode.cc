@@ -13,6 +13,7 @@
 #include <cstring>
 
 #include "src/machine/bits.h"
+#include "src/machine/cache.h"
 #include "src/machine/machine.h"
 #include "src/support/str.h"
 #include "src/telemetry/metrics.h"
@@ -174,10 +175,6 @@ const char* HOpName(HOp h) {
 
 namespace {
 
-// The L1i line size is fixed at 64 bytes (machine.h's CacheModel config);
-// the line-span precomputation hardcodes the shift accordingly.
-constexpr uint32_t kLineShift = 6;
-
 int8_t OptReg(const std::optional<Gpr>& r) {
   return r.has_value() ? static_cast<int8_t>(static_cast<uint8_t>(*r)) : int8_t{-1};
 }
@@ -192,8 +189,8 @@ DMem LowerMem(const MemRef& m) {
 }
 
 uint8_t LineSpan(uint64_t addr, uint32_t size) {
-  uint64_t first = addr >> kLineShift;
-  uint64_t last = (addr + (size > 0 ? size - 1 : 0)) >> kLineShift;
+  uint64_t first = addr >> kCacheLineShift;
+  uint64_t last = (addr + (size > 0 ? size - 1 : 0)) >> kCacheLineShift;
   return static_cast<uint8_t>(last - first + 1);
 }
 

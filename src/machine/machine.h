@@ -387,9 +387,9 @@ class SimMachine {
   // L1i is scaled to 4 KB: our workloads are size-reduced SPEC equivalents,
   // so the cache is shrunk proportionally to preserve the paper's
   // code-size-vs-L1i pressure (Fig 10). L1d/L2 keep desktop sizes.
-  CacheModel l1i_{4 * 1024, 64, 8};
-  CacheModel l1d_{32 * 1024, 64, 8};
-  CacheModel l2_{512 * 1024, 64, 8};
+  CacheModel l1i_{4 * 1024, kCacheLineSize, 8};
+  CacheModel l1d_{32 * 1024, kCacheLineSize, 8};
+  CacheModel l2_{512 * 1024, kCacheLineSize, 8};
 
   PerfCounters counters_;
   uint64_t host_micro_cycles_ = 0;
