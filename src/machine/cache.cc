@@ -25,18 +25,6 @@ CacheModel::CacheModel(uint32_t size_bytes, uint32_t line_size, uint32_t ways)
       set_mask_(NumSets(size_bytes, line_size, ways) - 1),
       tags_(size_t{set_mask_ + 1} * ways, UINT64_MAX) {}
 
-uint32_t CacheModel::AccessRange(uint64_t addr, uint32_t size) {
-  uint32_t miss_count = 0;
-  uint64_t first = addr >> line_shift_;
-  uint64_t last = (addr + (size > 0 ? size - 1 : 0)) >> line_shift_;
-  for (uint64_t line = first; line <= last; line++) {
-    if (!Access(line << line_shift_)) {
-      miss_count++;
-    }
-  }
-  return miss_count;
-}
-
 void CacheModel::Reset() { std::fill(tags_.begin(), tags_.end(), UINT64_MAX); }
 
 }  // namespace nsf

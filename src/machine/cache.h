@@ -53,9 +53,6 @@ class CacheModel {
     return hit;
   }
 
-  // Touches every line in [addr, addr+size); returns the number of misses.
-  uint32_t AccessRange(uint64_t addr, uint32_t size);
-
   void Reset();
 
  private:

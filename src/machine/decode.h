@@ -12,8 +12,8 @@
 //     shapes fall back to a kGeneric handler that runs the legacy body off
 //     the original MInstr, so every op/operand combination stays bit-exact;
 //   - precomputed fetch address, encoded size, and L1i line span (almost all
-//     instructions fit one 64 B line, so the hot fetch is a single
-//     CacheModel::Access instead of an AccessRange loop);
+//     instructions fit one kCacheLineSize line, so the hot fetch is a single
+//     inline CacheModel::Access instead of SimMachine::FetchL1i's line walk);
 //   - pre-truncated immediates and decoded [base+index*scale+disp] operands;
 //   - branch targets resolved to decoded-record indices;
 //   - fused `cmp|test + jcc` macro-ops: one record executes both, charging

@@ -267,12 +267,14 @@ void SimMachine::WriteStack(uint64_t addr, uint64_t bits) {
 }
 
 void SimMachine::FetchL1i(uint64_t addr, uint32_t size) {
-  uint32_t imiss = l1i_.AccessRange(addr, size);
-  if (imiss > 0) {
-    counters_.l1i_misses += imiss;
-    counters_.micro_cycles += cost_.l1_miss * imiss;
-    for (uint32_t k = 0; k < imiss; k++) {
-      if (!l2_.Access(addr + uint64_t{k} * 64)) {
+  uint64_t first = addr >> kCacheLineShift;
+  uint64_t last = (addr + (size > 0 ? size - 1 : 0)) >> kCacheLineShift;
+  for (uint64_t line = first; line <= last; line++) {
+    uint64_t line_addr = line << kCacheLineShift;
+    if (!l1i_.Access(line_addr)) {
+      counters_.l1i_misses++;
+      counters_.micro_cycles += cost_.l1_miss;
+      if (!l2_.Access(line_addr)) {  // L2 sees the line that missed
         counters_.l2_misses++;
         counters_.micro_cycles += cost_.l2_miss;
       }

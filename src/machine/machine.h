@@ -327,8 +327,9 @@ class SimMachine {
   bool ReadFpBits(const Operand& o, uint8_t width, uint64_t* out);
   bool WriteFpBits(const Operand& o, uint8_t width, uint64_t v);
 
-  // Instruction fetch through the L1i model for a possibly multi-line span
-  // (the predecoded path inlines the common single-line case).
+  // Instruction fetch through the L1i model for a possibly multi-line span;
+  // each line that misses L1i is probed in L2 (the predecoded path inlines
+  // the common single-line case).
   void FetchL1i(uint64_t addr, uint32_t size);
 
   // rdx:rax division convention shared by both paths. False on trap.

@@ -28,12 +28,6 @@ TEST(CacheModel, LruEviction) {
   EXPECT_FALSE(cache.Access(512));   // was evicted
 }
 
-TEST(CacheModel, RangeCountsLineMisses) {
-  CacheModel cache(1024, 64, 2);
-  EXPECT_EQ(cache.AccessRange(60, 8), 2u);  // straddles two lines
-  EXPECT_EQ(cache.AccessRange(60, 8), 0u);
-}
-
 TEST(EncodedSize, RoughlyX86Shaped) {
   EXPECT_EQ(EncodedSize(MInstr::RR(MOp::kAdd, Gpr::kRax, Gpr::kRbx, 4)), 2u);
   EXPECT_EQ(EncodedSize(MInstr::RR(MOp::kAdd, Gpr::kRax, Gpr::kRbx, 8)), 3u);  // +REX.W
@@ -86,6 +80,35 @@ TEST(SimMachine, HandAssembledProgram) {
   ASSERT_TRUE(r.ok);
   EXPECT_EQ(r.ret_i, 47u);
   EXPECT_EQ(m.counters().instructions_retired, 4u);
+}
+
+// An instruction straddling two L1i lines whose first line is already cached
+// (the previous instruction fetched it) misses only on its second line, and
+// L2 must be probed with that second line: cold, so it misses there too.
+TEST(SimMachine, StraddlingFetchProbesL2WithMissingLine) {
+  MProgram prog;
+  MFunction f;
+  for (int i = 0; i < 7; i++) {  // 10 bytes each: #6 spans bytes 60..69
+    f.code.push_back(MInstr::RI(MOp::kMovImm64, Gpr::kRax, 1ll << 40, 8));
+  }
+  MInstr ret;
+  ret.op = MOp::kRet;
+  f.code.push_back(ret);
+  prog.funcs.push_back(std::move(f));
+  prog.Link();
+  ASSERT_EQ(prog.funcs[0].code_base % kCacheLineSize, 0u);
+  ASSERT_EQ(prog.funcs[0].instr_offsets[6], 60u);
+  ASSERT_EQ(EncodedSize(prog.funcs[0].code[6]), 10u);
+  for (SimDispatch dispatch : {SimDispatch::kPredecoded, SimDispatch::kLegacy}) {
+    SimMachine m(&prog);
+    m.set_dispatch(dispatch);
+    ASSERT_TRUE(m.Run(0).ok);
+    const PerfCounters& c = m.counters();
+    EXPECT_EQ(c.l1i_misses, 2u);
+    // Every miss is cold and code lines never alias data lines, so each L1i
+    // and L1d miss is also an L2 miss.
+    EXPECT_EQ(c.l2_misses, c.l1i_misses + c.l1d_misses);
+  }
 }
 
 TEST(SimMachine, CountersDistinguishLoadsAndStores) {
