@@ -134,8 +134,7 @@ TEST(CacheModelDiff, StridedStreamsMatchReference) {
     uint64_t set_stride = uint64_t{c.size_bytes} / c.ways;  // same set every access
     for (uint64_t stride : {uint64_t{8}, uint64_t{64}, uint64_t{72}, uint64_t{4096}, set_stride}) {
       // Working sets of ways-1 .. ways+1 conflicting lines, and a long sweep.
-      for (size_t count : {size_t{c.ways} - (c.ways > 1 ? 1 : 0), size_t{c.ways},
-                           size_t{c.ways} + 1, size_t{3000}}) {
+      for (size_t count : {size_t{c.ways} - 1, size_t{c.ways}, size_t{c.ways} + 1, size_t{3000}}) {
         ExpectSameSequence(c, StridedStream(0x10000, stride, count, 4));
       }
     }
