@@ -37,6 +37,54 @@ inline int64_t SignExtend(uint64_t v, uint8_t width) {
   }
 }
 
+// Simulated memory moves of 1/2/4/8 bytes. Each arm is a constant-size
+// memcpy, so it compiles to a single load or store; a memcpy whose size is
+// only known at run time lowers to a library call or `rep movs` instead.
+// Loads zero-extend; stores write exactly `width` bytes. Any other width is
+// treated as 8 (the verifiers reject such records before they run).
+inline uint64_t LoadWidth(const uint8_t* p, uint8_t width) {
+  switch (width) {
+    case 1:
+      return *p;
+    case 2: {
+      uint16_t v;
+      std::memcpy(&v, p, 2);
+      return v;
+    }
+    case 4: {
+      uint32_t v;
+      std::memcpy(&v, p, 4);
+      return v;
+    }
+    default: {
+      uint64_t v;
+      std::memcpy(&v, p, 8);
+      return v;
+    }
+  }
+}
+
+inline void StoreWidth(uint8_t* p, uint64_t v, uint8_t width) {
+  switch (width) {
+    case 1:
+      *p = static_cast<uint8_t>(v);
+      return;
+    case 2: {
+      uint16_t t = static_cast<uint16_t>(v);
+      std::memcpy(p, &t, 2);
+      return;
+    }
+    case 4: {
+      uint32_t t = static_cast<uint32_t>(v);
+      std::memcpy(p, &t, 4);
+      return;
+    }
+    default:
+      std::memcpy(p, &v, 8);
+      return;
+  }
+}
+
 inline float BitsToF32(uint64_t bits) {
   float f;
   uint32_t b32 = static_cast<uint32_t>(bits);

@@ -1127,8 +1127,7 @@ nsf_dispatch:
     if (!DataAccess(DAddr(gprs_, d->mem), d->width, false, &p)) {
       return pending_trap_;
     }
-    uint64_t bv = 0;
-    std::memcpy(&bv, p, d->width);
+    uint64_t bv = LoadWidth(p, d->width);
     cmp_kind_ = CmpKind::kInt;
     cmp_ua_ = av;
     cmp_ub_ = bv;
@@ -1193,8 +1192,7 @@ nsf_dispatch:
     if (!DataAccess(DAddr(gprs_, d->mem), d->width, false, &p)) {
       return pending_trap_;
     }
-    uint64_t v = 0;
-    std::memcpy(&v, p, d->width);
+    uint64_t v = LoadWidth(p, d->width);
     gprs_[d->a] = v;
     NSF_PROLOGUE(d->fetch_addr2, d->fetch_size2, d->fetch_lines2);
     counters_.micro_cycles += cost_.simple;
@@ -1239,8 +1237,7 @@ nsf_dispatch:
     if (!DataAccess(DAddr(gprs_, d->mem), d->width, false, &p)) {
       return pending_trap_;
     }
-    uint64_t v = 0;
-    std::memcpy(&v, p, d->width);
+    uint64_t v = LoadWidth(p, d->width);
     gprs_[d->a] = v;
     NSF_NEXT(dpc + 1);
   }
@@ -1252,7 +1249,7 @@ nsf_dispatch:
     if (!DataAccess(DAddr(gprs_, d->mem), d->width, true, &p)) {
       return pending_trap_;
     }
-    std::memcpy(p, &t, d->width);
+    StoreWidth(p, t, d->width);
     NSF_NEXT(dpc + 1);
   }
 
@@ -1263,7 +1260,7 @@ nsf_dispatch:
     if (!DataAccess(DAddr(gprs_, d->mem), d->width, true, &p)) {
       return pending_trap_;
     }
-    std::memcpy(p, &t, d->width);
+    StoreWidth(p, t, d->width);
     NSF_NEXT(dpc + 1);
   }
 
@@ -1273,8 +1270,7 @@ nsf_dispatch:
     if (!DataAccess(DAddr(gprs_, d->mem), d->width, false, &p)) {
       return pending_trap_;
     }
-    uint64_t v = 0;
-    std::memcpy(&v, p, d->width);
+    uint64_t v = LoadWidth(p, d->width);
     gprs_[d->a] = v;
     NSF_NEXT(dpc + 1);
   }
@@ -1285,8 +1281,7 @@ nsf_dispatch:
     if (!DataAccess(DAddr(gprs_, d->mem), d->width, false, &p)) {
       return pending_trap_;
     }
-    uint64_t v = 0;
-    std::memcpy(&v, p, d->width);
+    uint64_t v = LoadWidth(p, d->width);
     gprs_[d->a] = static_cast<uint64_t>(SignExtend(v, d->width));
     NSF_NEXT(dpc + 1);
   }
@@ -1298,7 +1293,7 @@ nsf_dispatch:
     if (!DataAccess(DAddr(gprs_, d->mem), d->width, true, &p)) {
       return pending_trap_;
     }
-    std::memcpy(p, &v, d->width);
+    StoreWidth(p, v, d->width);
     NSF_NEXT(dpc + 1);
   }
 
@@ -1309,7 +1304,7 @@ nsf_dispatch:
     if (!DataAccess(DAddr(gprs_, d->mem), d->width, true, &p)) {
       return pending_trap_;
     }
-    std::memcpy(p, &v, d->width);
+    StoreWidth(p, v, d->width);
     NSF_NEXT(dpc + 1);
   }
 
@@ -1384,8 +1379,7 @@ nsf_dispatch:
     if (!DataAccess(DAddr(gprs_, d->mem), d->width, false, &p)) {      \
       return pending_trap_;                                            \
     }                                                                  \
-    uint64_t bv = 0;                                                   \
-    std::memcpy(&bv, p, d->width);                                     \
+    uint64_t bv = LoadWidth(p, d->width);                              \
     NSF_ALU_BODY(av OP bv);                                            \
     NSF_NEXT(dpc + 1);                                                 \
   }
@@ -1421,8 +1415,7 @@ nsf_dispatch:
     if (!DataAccess(DAddr(gprs_, d->mem), d->width, false, &p)) {
       return pending_trap_;
     }
-    uint64_t bv = 0;
-    std::memcpy(&bv, p, d->width);
+    uint64_t bv = LoadWidth(p, d->width);
     NSF_ALU_BODY(av * bv);
     NSF_NEXT(dpc + 1);
   }
@@ -1495,8 +1488,7 @@ nsf_dispatch:
     if (!DataAccess(DAddr(gprs_, d->mem), d->width, false, &p)) {
       return pending_trap_;
     }
-    uint64_t bv = 0;
-    std::memcpy(&bv, p, d->width);
+    uint64_t bv = LoadWidth(p, d->width);
     cmp_kind_ = CmpKind::kInt;
     cmp_ua_ = av;
     cmp_ub_ = bv;
@@ -1580,8 +1572,7 @@ nsf_dispatch:
     if (!DataAccess(DAddr(gprs_, d->mem), d->width, false, &p)) {
       return pending_trap_;
     }
-    uint64_t v = 0;
-    std::memcpy(&v, p, d->width);
+    uint64_t v = LoadWidth(p, d->width);
     xmms_[d->a] = d->width == 4 ? (v & 0xffffffffull) : v;
     NSF_NEXT(dpc + 1);
   }
@@ -1593,7 +1584,7 @@ nsf_dispatch:
     if (!DataAccess(DAddr(gprs_, d->mem), d->width, true, &p)) {
       return pending_trap_;
     }
-    std::memcpy(p, &v, d->width);
+    StoreWidth(p, v, d->width);
     NSF_NEXT(dpc + 1);
   }
 
