@@ -380,8 +380,7 @@ bool SimMachine::ReadInt(const Operand& o, uint8_t width, uint64_t* out) {
       if (!DataAccess(EffectiveAddr(o.mem), width, false, &p)) {
         return false;
       }
-      uint64_t v = 0;
-      std::memcpy(&v, p, width);
+      uint64_t v = LoadWidth(p, width);
       *out = v;
       return true;
     }
@@ -406,7 +405,7 @@ bool SimMachine::WriteInt(const Operand& o, uint8_t width, uint64_t v) {
         return false;
       }
       uint64_t t = TruncToWidth(v, width);
-      std::memcpy(p, &t, width);
+      StoreWidth(p, t, width);
       return true;
     }
     default:
@@ -432,8 +431,7 @@ bool SimMachine::ReadFpBits(const Operand& o, uint8_t width, uint64_t* out) {
       if (!DataAccess(EffectiveAddr(o.mem), width, false, &p)) {
         return false;
       }
-      uint64_t v = 0;
-      std::memcpy(&v, p, width);
+      uint64_t v = LoadWidth(p, width);
       *out = v;
       return true;
     }
@@ -454,7 +452,7 @@ bool SimMachine::WriteFpBits(const Operand& o, uint8_t width, uint64_t v) {
       if (!DataAccess(EffectiveAddr(o.mem), width, true, &p)) {
         return false;
       }
-      std::memcpy(p, &v, width);
+      StoreWidth(p, v, width);
       return true;
     }
     default:
@@ -583,8 +581,7 @@ bool SimMachine::ExecGenericOp(const MInstr& instr) {
       if (!DataAccess(EffectiveAddr(instr.src.mem), instr.width, false, &p)) {
         return false;
       }
-      uint64_t v = 0;
-      std::memcpy(&v, p, instr.width);
+      uint64_t v = LoadWidth(p, instr.width);
       if (instr.sign_extend) {
         v = static_cast<uint64_t>(SignExtend(v, instr.width));
       }
@@ -602,7 +599,7 @@ bool SimMachine::ExecGenericOp(const MInstr& instr) {
       if (!DataAccess(EffectiveAddr(instr.dst.mem), instr.width, true, &p)) {
         return false;
       }
-      std::memcpy(p, &v, instr.width);
+      StoreWidth(p, v, instr.width);
       return true;
     }
 
