@@ -188,10 +188,35 @@ DMem LowerMem(const MemRef& m) {
   return d;
 }
 
+uint64_t FirstLine(uint64_t addr) { return addr >> kCacheLineShift; }
+
+uint64_t LastLine(uint64_t addr, uint32_t size) {
+  return (addr + (size > 0 ? size - 1 : 0)) >> kCacheLineShift;
+}
+
 uint8_t LineSpan(uint64_t addr, uint32_t size) {
-  uint64_t first = addr >> kCacheLineShift;
-  uint64_t last = (addr + (size > 0 ? size - 1 : 0)) >> kCacheLineShift;
-  return static_cast<uint8_t>(last - first + 1);
+  return static_cast<uint8_t>(LastLine(addr, size) - FirstLine(addr) + 1);
+}
+
+// Whether the record after a (non-target) record with handler `h` can only
+// be reached straight from it, with no L1i access in between. Not after a
+// call (the return site runs after the callee), a ret or jmp (nothing falls
+// through), or any host call (a hook may run arbitrary code, including a
+// cache reset).
+bool FallsThroughToNext(HOp h) {
+  switch (h) {
+    case HOp::kJmp:
+    case HOp::kCall:
+    case HOp::kCallReg:
+    case HOp::kRet:
+    case HOp::kCallHostHook:
+    case HOp::kCallHostTrap:
+    case HOp::kCallHostMemSize:
+    case HOp::kCallHostMemGrow:
+      return false;
+    default:
+      return true;
+  }
 }
 
 uint64_t DAddr(const uint64_t* gprs, const DMem& m) {
@@ -758,6 +783,16 @@ DecodedProgram Predecode(const MProgram& program) {
     };
 
     // Pass 2: emit records.
+    //
+    // Fetch elision: a single-line fetch of the line the record that must
+    // have run just before it fetched last can only hit MRU slot 0 of its L1i
+    // set, and a slot-0 hit writes no cache state — so the record gets
+    // fetch_lines = 0 and the probe is skipped (retirement and fuel still
+    // run). "Must have run just before" holds when the record is not record
+    // 0, not a branch target, and its predecessor falls through to it; a
+    // fused second fetch always runs right after its primary.
+    uint64_t prev_last_line = 0;  // last L1i line the previous record fetched
+    bool prev_falls_through = false;
     df.code.reserve(record_count + 1);
     for (size_t i = 0; i < n; i++) {
       DInstr d;
@@ -766,25 +801,30 @@ DecodedProgram Predecode(const MProgram& program) {
       d.fetch_addr = f.code_base + f.instr_offsets[i];
       d.fetch_size = EncodedSize(in);
       d.fetch_lines = LineSpan(d.fetch_addr, d.fetch_size);
-      if (fuse_at[i] == 1) {
-        const MInstr& jcc = f.code[i + 1];
-        LowerFusedPrimary(in, &d);
-        d.cond = static_cast<uint8_t>(jcc.cond);
-        d.target = map_label(jcc.label);
-        d.fetch_addr2 = f.code_base + f.instr_offsets[i + 1];
-        d.fetch_size2 = EncodedSize(jcc);
-        d.fetch_lines2 = LineSpan(d.fetch_addr2, d.fetch_size2);
-        dp.stats.fused_pairs++;
-        if (d.handler == static_cast<uint16_t>(HOp::kFusedGenJcc)) {
-          dp.stats.generic++;
-        }
-        i++;
-      } else if (fuse_at[i] == 2) {
+      if (prev_falls_through && !is_target[i] && d.fetch_lines == 1 &&
+          FirstLine(d.fetch_addr) == prev_last_line) {
+        d.fetch_lines = 0;
+      }
+      prev_last_line = LastLine(d.fetch_addr, d.fetch_size);
+      if (fuse_at[i] != 0) {
         const MInstr& second = f.code[i + 1];
-        LowerFusedDataPair(in, second, &d);
+        if (fuse_at[i] == 1) {
+          LowerFusedPrimary(in, &d);
+          d.cond = static_cast<uint8_t>(second.cond);
+          d.target = map_label(second.label);
+          if (d.handler == static_cast<uint16_t>(HOp::kFusedGenJcc)) {
+            dp.stats.generic++;
+          }
+        } else {
+          LowerFusedDataPair(in, second, &d);
+        }
         d.fetch_addr2 = f.code_base + f.instr_offsets[i + 1];
         d.fetch_size2 = EncodedSize(second);
         d.fetch_lines2 = LineSpan(d.fetch_addr2, d.fetch_size2);
+        if (d.fetch_lines2 == 1 && FirstLine(d.fetch_addr2) == prev_last_line) {
+          d.fetch_lines2 = 0;
+        }
+        prev_last_line = LastLine(d.fetch_addr2, d.fetch_size2);
         dp.stats.fused_pairs++;
         i++;
       } else {
@@ -793,6 +833,7 @@ DecodedProgram Predecode(const MProgram& program) {
           dp.stats.generic++;
         }
       }
+      prev_falls_through = FallsThroughToNext(static_cast<HOp>(d.handler));
       df.code.push_back(d);
     }
     dp.stats.records += df.code.size();
@@ -826,6 +867,8 @@ TrapKind SimMachine::ExecDecoded() {
   uint32_t dpc = 0;
   const DInstr* d = code;
 
+// fetch_lines 0 marks a fetch predecode proved to be a slot-0 L1i hit (see
+// Predecode): such a hit writes no cache state, so the probe is skipped.
 #define NSF_PROLOGUE(fa, fsz, flines)                       \
   do {                                                      \
     if ((flines) == 1) {                                    \
@@ -837,7 +880,7 @@ TrapKind SimMachine::ExecDecoded() {
           counters_.micro_cycles += cost_.l2_miss;          \
         }                                                   \
       }                                                     \
-    } else {                                                \
+    } else if ((flines) != 0) {                             \
       FetchL1i((fa), (fsz));                                \
     }                                                       \
     counters_.instructions_retired++;                       \
