@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/machine/cache.h"
 #include "src/support/str.h"
 
 namespace nsf {
@@ -33,6 +34,25 @@ bool IsFusedDataHandler(HOp h) {
 
 bool IsDecodedBranchHandler(HOp h) {
   return h == HOp::kJmp || h == HOp::kJcc || IsFusedHandler(h);
+}
+
+// Handlers after which the next record is reached some other way than by
+// falling through (or only after other code ran): the elision rule's
+// predecessor test, restated independently of Predecode.
+bool FallsThrough(HOp h) {
+  return h != HOp::kJmp && h != HOp::kCall && h != HOp::kCallReg && h != HOp::kRet &&
+         h != HOp::kCallHostHook && h != HOp::kCallHostTrap && h != HOp::kCallHostMemSize &&
+         h != HOp::kCallHostMemGrow;
+}
+
+uint64_t FirstLine(uint64_t addr) { return addr >> kCacheLineShift; }
+
+uint64_t LastLine(uint64_t addr, uint32_t size) {
+  return (addr + (size > 0 ? size - 1 : 0)) >> kCacheLineShift;
+}
+
+bool HasMemOperand(const MInstr& in) {
+  return in.dst.kind == OperandKind::kMem || in.src.kind == OperandKind::kMem;
 }
 
 bool ProducesCompareState(MOp op) {
@@ -153,6 +173,51 @@ std::string VerifyDecodedProgram(const MProgram& prog, const DecodedProgram& dp)
         if (d.fetch_addr2 != mf.code_base + mf.instr_offsets[oi + 1] ||
             d.fetch_size2 != EncodedSize(mf.code[oi + 1])) {
           return at(di, "fused data pair's second fetch does not match the second element");
+        }
+      }
+      if (HasMemOperand(*d.orig) && d.width != 1 && d.width != 2 && d.width != 4 &&
+          d.width != 8) {
+        return at(di, StrFormat("memory-operand width %u is not 1, 2, 4 or 8", d.width));
+      }
+      // Elided fetches (fetch_lines 0) must be provable slot-0 L1i hits: one
+      // line, equal to the last line fetched by the record that must have run
+      // just before.
+      if (d.fetch_lines == 0) {
+        if (di == 0) {
+          return at(di, "elided fetch on record 0, which has no predecessor");
+        }
+        if (is_target[oi]) {
+          return at(di, StrFormat("elided fetch on a branch target (pc %zu)", oi));
+        }
+        const DInstr& prev = df.code[di - 1];
+        HOp ph = static_cast<HOp>(prev.handler);
+        if (!FallsThrough(ph)) {
+          return at(di, StrFormat("elided fetch after a %s record, which does not fall through",
+                                  HOpName(ph)));
+        }
+        if (FirstLine(d.fetch_addr) != LastLine(d.fetch_addr, d.fetch_size)) {
+          return at(di, "elided fetch spans more than one L1i line");
+        }
+        bool prev_fused = IsFusedHandler(ph) || IsFusedDataHandler(ph);
+        uint64_t prev_line = prev_fused ? LastLine(prev.fetch_addr2, prev.fetch_size2)
+                                        : LastLine(prev.fetch_addr, prev.fetch_size);
+        if (FirstLine(d.fetch_addr) != prev_line) {
+          return at(di, StrFormat("elided fetch of line %llu, but the previous record last "
+                                  "fetched line %llu",
+                                  static_cast<unsigned long long>(FirstLine(d.fetch_addr)),
+                                  static_cast<unsigned long long>(prev_line)));
+        }
+      }
+      if ((IsFusedHandler(h) || IsFusedDataHandler(h)) && d.fetch_lines2 == 0) {
+        if (FirstLine(d.fetch_addr2) != LastLine(d.fetch_addr2, d.fetch_size2)) {
+          return at(di, "elided second fetch spans more than one L1i line");
+        }
+        uint64_t primary_line = LastLine(d.fetch_addr, d.fetch_size);
+        if (FirstLine(d.fetch_addr2) != primary_line) {
+          return at(di, StrFormat("elided second fetch of line %llu, but the primary last "
+                                  "fetched line %llu",
+                                  static_cast<unsigned long long>(FirstLine(d.fetch_addr2)),
+                                  static_cast<unsigned long long>(primary_line)));
         }
       }
     }

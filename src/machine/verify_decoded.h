@@ -7,7 +7,15 @@
 //      instr_offsets/EncodedSize for that MInstr, branch targets are valid
 //      decoded indices, and fused records are LEGAL pairs (a compare-state
 //      producer immediately followed by a jcc whose pc is not itself a
-//      branch target, with the record's cond equal to the jcc's).
+//      branch target, with the record's cond equal to the jcc's), every
+//      memory-operand record has width 1, 2, 4 or 8 (the fixed-width move
+//      helpers treat any other width as 8), and every elided fetch
+//      (fetch_lines / fetch_lines2 == 0) is a provable slot-0 L1i hit: a
+//      one-line fetch of the line the previous record last fetched, on a
+//      record that is neither record 0 nor a branch target and follows a
+//      record that falls through (a fused second fetch: its primary's last
+//      line). This restates Predecode's elision rule independently, so a bug
+//      in the rule cannot verify clean.
 //   2. A field-by-field comparison against a fresh Predecode(prog) — decode
 //      is deterministic, so any divergence (stale cache entry, bit-flipped
 //      artifact that survived the codec checksum, a future decode bug) shows

@@ -19,6 +19,7 @@
 #include "src/engine/engine.h"
 #include "src/machine/verify_decoded.h"
 #include "src/polybench/polybench.h"
+#include "src/support/str.h"
 #include "src/wasm/artifact_codec.h"
 #include "src/wasm/encoder.h"
 
@@ -337,6 +338,155 @@ TEST(VerifyDecoded, DanglingDecodedBranchRejected) {
   ASSERT_TRUE(found);
   std::string diag = VerifyDecodedProgram(prog, dp);
   EXPECT_NE(diag.find("target 1000 out of range"), std::string::npos) << diag;
+}
+
+// --- Fetch elision rule (fetch_lines / fetch_lines2 == 0) ------------------
+//
+// The verifier restates the elision rule on its own, so a bug in Predecode's
+// rule cannot verify clean just because a fresh predecode repeats it. The
+// layout below (one function linked at address 0, 64-byte lines) puts a
+// candidate for every violation at a known line position.
+
+// Appends nops until the next instruction starts `offset` bytes in.
+void PadTo(std::vector<MInstr>* code, uint32_t offset) {
+  uint32_t at = 0;
+  for (const MInstr& in : *code) {
+    at += EncodedSize(in);
+  }
+  while (at < offset) {
+    code->push_back(Plain(MOp::kNop));
+    at++;
+  }
+}
+
+struct ElisionLayout {
+  MProgram prog;
+  uint32_t new_line_pc = 0;  // single-line fetch that starts line 1
+  uint32_t straddle_pc = 0;  // fetch spanning lines 1 and 2
+  uint32_t pair_new_line_pc = 0;  // fused cmp whose jcc starts line 3
+  uint32_t pair_straddle_pc = 0;  // fused cmp whose jcc spans lines 3 and 4
+};
+
+ElisionLayout MakeElisionLayout() {
+  ElisionLayout l;
+  const MInstr cmp = MInstr::RI(MOp::kCmp, Gpr::kRax, 0);
+  std::vector<MInstr> code = {
+      MInstr::RI(MOp::kMovImm64, Gpr::kRax, 1),   // 0: [0,10)
+      MInstr::JumpCc(Cond::kE, 2),                // 1: falls through to 2
+      MInstr::RI(MOp::kMovImm64, Gpr::kRax, 2),   // 2: branch target
+      MInstr::Jump(5),                            // 3
+      MInstr::RI(MOp::kMovImm64, Gpr::kRax, 3),   // 4: after a jmp
+      MInstr::RM(MOp::kLoad, Gpr::kRax, MemRef::Abs(0)),  // 5: memory operand
+  };
+  PadTo(&code, 64);
+  l.new_line_pc = static_cast<uint32_t>(code.size());
+  code.push_back(MInstr::RI(MOp::kMovImm64, Gpr::kRax, 4));
+  PadTo(&code, 124);
+  l.straddle_pc = static_cast<uint32_t>(code.size());
+  code.push_back(MInstr::RI(MOp::kMovImm64, Gpr::kRax, 5));
+  PadTo(&code, 192 - EncodedSize(cmp));
+  l.pair_new_line_pc = static_cast<uint32_t>(code.size());
+  code.push_back(cmp);
+  code.push_back(MInstr::JumpCc(Cond::kNe, 5));
+  PadTo(&code, 254 - EncodedSize(cmp));
+  l.pair_straddle_pc = static_cast<uint32_t>(code.size());
+  code.push_back(cmp);
+  code.push_back(MInstr::JumpCc(Cond::kNe, 5));
+  code.push_back(Plain(MOp::kRet));
+  l.prog = OneFunc(std::move(code));
+  return l;
+}
+
+DInstr& RecordAt(DecodedProgram& dp, uint32_t pc) {
+  return dp.funcs[0].code[dp.funcs[0].pc_to_index[pc]];
+}
+
+std::string RecordDiag(DecodedProgram& dp, uint32_t pc, const char* msg) {
+  return StrFormat("decoded func 'broken' (#0) record #%u [%s]: %s", dp.funcs[0].pc_to_index[pc],
+                   HOpName(static_cast<HOp>(RecordAt(dp, pc).handler)), msg);
+}
+
+TEST(VerifyDecoded, ElisionLayoutPredecodesClean) {
+  ElisionLayout l = MakeElisionLayout();
+  DecodedProgram dp = Predecode(l.prog);
+  ASSERT_EQ(dp.stats.fused_pairs, 2u);
+  EXPECT_EQ(RecordAt(dp, 0).fetch_lines, 1);
+  EXPECT_EQ(RecordAt(dp, 1).fetch_lines, 0);
+  EXPECT_EQ(RecordAt(dp, 2).fetch_lines, 1);
+  EXPECT_EQ(RecordAt(dp, 4).fetch_lines, 1);
+  EXPECT_EQ(RecordAt(dp, l.new_line_pc).fetch_lines, 1);
+  EXPECT_EQ(RecordAt(dp, l.straddle_pc).fetch_lines, 2);
+  EXPECT_EQ(RecordAt(dp, l.pair_new_line_pc).fetch_lines, 0);
+  EXPECT_EQ(RecordAt(dp, l.pair_new_line_pc).fetch_lines2, 1);
+  EXPECT_EQ(RecordAt(dp, l.pair_straddle_pc).fetch_lines2, 2);
+  EXPECT_EQ(VerifyDecodedProgram(l.prog, dp), "");
+}
+
+TEST(VerifyDecoded, ElidedFetchOnRecordZeroRejected) {
+  ElisionLayout l = MakeElisionLayout();
+  DecodedProgram dp = Predecode(l.prog);
+  RecordAt(dp, 0).fetch_lines = 0;
+  EXPECT_EQ(VerifyDecodedProgram(l.prog, dp),
+            RecordDiag(dp, 0, "elided fetch on record 0, which has no predecessor"));
+}
+
+TEST(VerifyDecoded, ElidedFetchOnBranchTargetRejected) {
+  ElisionLayout l = MakeElisionLayout();
+  DecodedProgram dp = Predecode(l.prog);
+  RecordAt(dp, 2).fetch_lines = 0;  // same line as the jcc it falls through from
+  EXPECT_EQ(VerifyDecodedProgram(l.prog, dp),
+            RecordDiag(dp, 2, "elided fetch on a branch target (pc 2)"));
+}
+
+TEST(VerifyDecoded, ElidedFetchAfterJmpRejected) {
+  ElisionLayout l = MakeElisionLayout();
+  DecodedProgram dp = Predecode(l.prog);
+  RecordAt(dp, 4).fetch_lines = 0;
+  EXPECT_EQ(VerifyDecodedProgram(l.prog, dp),
+            RecordDiag(dp, 4, "elided fetch after a Jmp record, which does not fall through"));
+}
+
+TEST(VerifyDecoded, ElidedFetchSpanningTwoLinesRejected) {
+  ElisionLayout l = MakeElisionLayout();
+  DecodedProgram dp = Predecode(l.prog);
+  RecordAt(dp, l.straddle_pc).fetch_lines = 0;
+  EXPECT_EQ(VerifyDecodedProgram(l.prog, dp),
+            RecordDiag(dp, l.straddle_pc, "elided fetch spans more than one L1i line"));
+}
+
+TEST(VerifyDecoded, ElidedFetchOfAnotherLineRejected) {
+  ElisionLayout l = MakeElisionLayout();
+  DecodedProgram dp = Predecode(l.prog);
+  RecordAt(dp, l.new_line_pc).fetch_lines = 0;
+  EXPECT_EQ(VerifyDecodedProgram(l.prog, dp),
+            RecordDiag(dp, l.new_line_pc,
+                       "elided fetch of line 1, but the previous record last fetched line 0"));
+}
+
+TEST(VerifyDecoded, ElidedSecondFetchSpanningTwoLinesRejected) {
+  ElisionLayout l = MakeElisionLayout();
+  DecodedProgram dp = Predecode(l.prog);
+  RecordAt(dp, l.pair_straddle_pc).fetch_lines2 = 0;
+  EXPECT_EQ(VerifyDecodedProgram(l.prog, dp),
+            RecordDiag(dp, l.pair_straddle_pc,
+                       "elided second fetch spans more than one L1i line"));
+}
+
+TEST(VerifyDecoded, ElidedSecondFetchOfAnotherLineRejected) {
+  ElisionLayout l = MakeElisionLayout();
+  DecodedProgram dp = Predecode(l.prog);
+  RecordAt(dp, l.pair_new_line_pc).fetch_lines2 = 0;
+  EXPECT_EQ(VerifyDecodedProgram(l.prog, dp),
+            RecordDiag(dp, l.pair_new_line_pc,
+                       "elided second fetch of line 3, but the primary last fetched line 2"));
+}
+
+TEST(VerifyDecoded, MemoryOperandWidthOutsideOneTwoFourEightRejected) {
+  ElisionLayout l = MakeElisionLayout();
+  DecodedProgram dp = Predecode(l.prog);
+  RecordAt(dp, 5).width = 3;
+  EXPECT_EQ(VerifyDecodedProgram(l.prog, dp),
+            RecordDiag(dp, 5, "memory-operand width 3 is not 1, 2, 4 or 8"));
 }
 
 // --- Pass pipelines are verify-clean at every boundary ----------------------
