@@ -11,9 +11,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
+#include <functional>
 
 #include "src/engine/engine.h"
 #include "src/engine/executor.h"
+#include "src/machine/bits.h"
 #include "src/machine/machine.h"
 #include "src/polybench/polybench.h"
 
@@ -34,15 +37,20 @@ struct BothResults {
 };
 
 // Runs `prog` under both dispatch modes on fresh machines and asserts the
-// observable state is identical; returns both for extra assertions.
+// observable state is identical; returns both for extra assertions. `setup`,
+// when given, runs on each machine before the run (e.g. to register hooks).
 BothResults RunBoth(const MProgram& prog, const std::vector<uint64_t>& args = {},
-                    uint64_t fuel = 0) {
+                    uint64_t fuel = 0,
+                    const std::function<void(SimMachine&)>& setup = nullptr) {
   BothResults out;
   {
     SimMachine m(&prog);
     m.set_dispatch(SimDispatch::kLegacy);
     if (fuel != 0) {
       m.set_fuel(fuel);
+    }
+    if (setup) {
+      setup(m);
     }
     out.legacy = m.Run(0, args);
     out.legacy_counters = m.counters();
@@ -52,6 +60,9 @@ BothResults RunBoth(const MProgram& prog, const std::vector<uint64_t>& args = {}
     m.set_dispatch(SimDispatch::kPredecoded);
     if (fuel != 0) {
       m.set_fuel(fuel);
+    }
+    if (setup) {
+      setup(m);
     }
     out.pred = m.Run(0, args);
     out.pred_counters = m.counters();
@@ -303,6 +314,218 @@ TEST(DecodeDifferential, MemoryGrowAcrossDispatches) {
   BothResults r = RunBoth(prog);
   ASSERT_TRUE(r.legacy.ok);
   EXPECT_EQ(r.legacy.ret_i, 1u);
+}
+
+// --- Fetch elision: L1i probes predecode proves to be slot-0 hits ---
+//
+// Functions are linked from address 0, so byte offsets below are fetch
+// addresses; kCacheLineSize is 64. The host hook used here resets the caches
+// (and counters) mid-run, so a probe wrongly elided after it shows up as a
+// missing L1i miss against the legacy core.
+
+MInstr MovAbs(Gpr r, int64_t v) { return MInstr::RI(MOp::kMovImm64, r, v, 8); }
+
+MInstr Nop() {
+  MInstr n;
+  n.op = MOp::kNop;
+  return n;
+}
+
+MInstr HostCall(uint32_t id) {
+  MInstr c;
+  c.op = MOp::kCallHost;
+  c.func = id;
+  return c;
+}
+
+// Appends nops until the next instruction starts `offset` bytes into `f`.
+void PadTo(MFunction* f, uint32_t offset) {
+  uint32_t at = 0;
+  for (const MInstr& in : f->code) {
+    at += EncodedSize(in);
+  }
+  ASSERT_LE(at, offset);
+  while (at < offset) {
+    f->code.push_back(Nop());
+    at++;
+  }
+}
+
+void RegisterResetHook(SimMachine& m) {
+  m.RegisterHost(0, [](SimMachine& sm) { sm.ResetCounters(); });
+}
+
+const DInstr& RecordAt(const DecodedProgram& dp, uint32_t func, uint32_t pc) {
+  return dp.funcs[func].code[dp.funcs[func].pc_to_index[pc]];
+}
+
+TEST(FetchElision, BranchTargetKeepsItsProbe) {
+  // The loop head shares line 0 with the record before it, but the back edge
+  // reaches it from line 1 after the hook reset the caches: its fetch is a
+  // miss there, not a slot-0 hit.
+  MProgram prog;
+  MFunction f;
+  f.code.push_back(MovAbs(Gpr::kRcx, 2));                 // 0: [0,10)
+  f.code.push_back(MovAbs(Gpr::kRax, 7));                 // 1: [10,20)
+  f.code.push_back(MInstr::RI(MOp::kSub, Gpr::kRcx, 1));  // 2: loop head
+  PadTo(&f, 64);
+  const uint32_t hook_pc = static_cast<uint32_t>(f.code.size());
+  f.code.push_back(HostCall(0));  // line 1
+  f.code.push_back(MInstr::RI(MOp::kCmp, Gpr::kRcx, 0));
+  f.code.push_back(MInstr::JumpCc(Cond::kNe, 2));
+  f.code.push_back(Ret());
+  prog.funcs.push_back(std::move(f));
+  prog.Link();
+  ASSERT_EQ(prog.funcs[0].instr_offsets[hook_pc], 64u);
+
+  DecodedProgram dp = Predecode(prog);
+  EXPECT_EQ(RecordAt(dp, 0, 1).fetch_lines, 0);  // falls through from pc 0
+  EXPECT_EQ(RecordAt(dp, 0, 2).fetch_lines, 1);  // branch target: kept
+
+  // Reset on the first pass only, so the re-entry to the loop head counts.
+  BothResults r = RunBoth(prog, {}, 0, [](SimMachine& m) {
+    m.RegisterHost(0, [](SimMachine& sm) {
+      if (sm.gpr(Gpr::kRcx) != 0) {
+        sm.ResetCounters();
+      }
+    });
+  });
+  ASSERT_TRUE(r.legacy.ok) << r.legacy.error;
+  EXPECT_EQ(r.legacy.ret_i, 7u);
+  EXPECT_EQ(r.legacy_counters.l1i_misses, 2u);  // line 1 (cmp), line 0 (loop head)
+}
+
+TEST(FetchElision, ReturnSiteKeepsItsProbe) {
+  // The return site shares line 0 with its call, but the callee (line 1)
+  // reset the caches in between.
+  MProgram prog;
+  MFunction f0;
+  f0.code.push_back(MovAbs(Gpr::kRax, 1));  // 0: [0,10)
+  MInstr call;
+  call.op = MOp::kCall;
+  call.func = 1;
+  f0.code.push_back(call);                  // 1: [10,15)
+  f0.code.push_back(MovAbs(Gpr::kRax, 2));  // 2: [15,25) return site
+  f0.code.push_back(Ret());
+  PadTo(&f0, 64);  // dead padding: the callee links on line 1
+  MFunction f1;
+  f1.code.push_back(HostCall(0));
+  f1.code.push_back(Ret());
+  prog.funcs.push_back(std::move(f0));
+  prog.funcs.push_back(std::move(f1));
+  prog.Link();
+  ASSERT_EQ(prog.funcs[1].code_base, 64u);
+
+  DecodedProgram dp = Predecode(prog);
+  EXPECT_EQ(RecordAt(dp, 0, 1).fetch_lines, 0);  // the call itself falls in line
+  EXPECT_EQ(RecordAt(dp, 0, 2).fetch_lines, 1);  // return site: kept
+
+  BothResults r = RunBoth(prog, {}, 0, RegisterResetHook);
+  ASSERT_TRUE(r.legacy.ok) << r.legacy.error;
+  EXPECT_EQ(r.legacy.ret_i, 2u);
+  EXPECT_EQ(r.legacy_counters.l1i_misses, 2u);  // callee's ret, return site
+}
+
+TEST(FetchElision, RecordAfterHostHookKeepsItsProbe) {
+  MProgram prog;
+  MFunction f;
+  f.code.push_back(MovAbs(Gpr::kRax, 1));  // 0: [0,10)
+  f.code.push_back(HostCall(0));           // 1: [10,15) resets the caches
+  f.code.push_back(MovAbs(Gpr::kRax, 2));  // 2: [15,25)
+  f.code.push_back(Ret());
+  prog.funcs.push_back(std::move(f));
+  prog.Link();
+
+  DecodedProgram dp = Predecode(prog);
+  EXPECT_EQ(RecordAt(dp, 0, 1).fetch_lines, 0);
+  EXPECT_EQ(RecordAt(dp, 0, 2).fetch_lines, 1);  // after a host call: kept
+  EXPECT_EQ(RecordAt(dp, 0, 3).fetch_lines, 0);
+
+  BothResults r = RunBoth(prog, {}, 0, RegisterResetHook);
+  ASSERT_TRUE(r.legacy.ok) << r.legacy.error;
+  EXPECT_EQ(r.legacy.ret_i, 2u);
+  EXPECT_EQ(r.legacy_counters.l1i_misses, 1u);  // the record after the hook
+}
+
+TEST(FetchElision, RecordOnAStraddlingFetchsLastLineIsElided) {
+  MProgram prog;
+  MFunction f;
+  for (int i = 0; i < 7; i++) {
+    f.code.push_back(MovAbs(Gpr::kRax, i));  // pc 6 is [60,70): lines 0 and 1
+  }
+  f.code.push_back(MovAbs(Gpr::kRax, 99));  // 7: [70,80), line 1
+  f.code.push_back(Ret());
+  prog.funcs.push_back(std::move(f));
+  prog.Link();
+
+  DecodedProgram dp = Predecode(prog);
+  EXPECT_EQ(RecordAt(dp, 0, 0).fetch_lines, 1);  // record 0
+  for (uint32_t pc = 1; pc < 6; pc++) {
+    EXPECT_EQ(RecordAt(dp, 0, pc).fetch_lines, 0) << pc;
+  }
+  EXPECT_EQ(RecordAt(dp, 0, 6).fetch_lines, 2);  // straddles: never elided
+  EXPECT_EQ(RecordAt(dp, 0, 7).fetch_lines, 0);  // on the straddle's last line
+  EXPECT_EQ(RecordAt(dp, 0, 8).fetch_lines, 0);
+
+  BothResults r = RunBoth(prog);
+  ASSERT_TRUE(r.legacy.ok) << r.legacy.error;
+  EXPECT_EQ(r.legacy.ret_i, 99u);
+  EXPECT_EQ(r.legacy_counters.l1i_misses, 2u);
+}
+
+TEST(FetchElision, FusedPairInsideOneLineElidesItsSecondFetch) {
+  MProgram prog;
+  MFunction f;
+  f.code.push_back(MInstr::RI(MOp::kMov, Gpr::kRax, 0, 8));
+  f.code.push_back(MInstr::RI(MOp::kMov, Gpr::kRcx, 50, 8));
+  f.code.push_back(MInstr::RI(MOp::kAdd, Gpr::kRax, 3, 8));  // 2: loop head
+  f.code.push_back(MInstr::RI(MOp::kSub, Gpr::kRcx, 1, 8));
+  f.code.push_back(MInstr::RI(MOp::kCmp, Gpr::kRcx, 0, 8));  // 4: fused with 5
+  f.code.push_back(MInstr::JumpCc(Cond::kNe, 2));
+  f.code.push_back(Ret());
+  prog.funcs.push_back(std::move(f));
+  prog.Link();
+  ASSERT_LT(prog.funcs[0].instr_offsets[6], 64u);
+
+  DecodedProgram dp = Predecode(prog);
+  ASSERT_EQ(dp.stats.fused_pairs, 1u);
+  const DInstr& fused = RecordAt(dp, 0, 4);
+  EXPECT_EQ(fused.handler, static_cast<uint16_t>(HOp::kFusedCmpJccRI));
+  EXPECT_EQ(fused.fetch_lines, 0);
+  EXPECT_EQ(fused.fetch_lines2, 0);
+  EXPECT_EQ(RecordAt(dp, 0, 2).fetch_lines, 1);  // loop head is a target
+
+  BothResults r = RunBoth(prog);
+  ASSERT_TRUE(r.legacy.ok) << r.legacy.error;
+  EXPECT_EQ(r.legacy.ret_i, 150u);
+  EXPECT_EQ(r.legacy_counters.l1i_misses, 1u);
+}
+
+// --- Fixed-width memory moves (bits.h) ---
+
+TEST(Bits, LoadWidthZeroExtendsAndStoreWidthKeepsNeighbours) {
+  uint8_t buf[16];
+  for (int i = 0; i < 16; i++) {
+    buf[i] = static_cast<uint8_t>(0xf0 + i);
+  }
+  EXPECT_EQ(LoadWidth(buf + 1, 1), 0xf1u);
+  EXPECT_EQ(LoadWidth(buf + 1, 2), 0xf2f1u);
+  EXPECT_EQ(LoadWidth(buf + 1, 4), 0xf4f3f2f1u);
+  EXPECT_EQ(LoadWidth(buf + 1, 8), 0xf8f7f6f5f4f3f2f1ull);
+
+  for (uint8_t width : {1, 2, 4, 8}) {
+    SCOPED_TRACE(static_cast<int>(width));
+    std::memset(buf, 0xaa, sizeof(buf));
+    StoreWidth(buf + 4, 0x1122334455667788ull, width);
+    const uint8_t expect[8] = {0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11};
+    for (int i = 0; i < 16; i++) {
+      if (i >= 4 && i < 4 + width) {
+        EXPECT_EQ(buf[i], expect[i - 4]) << i;
+      } else {
+        EXPECT_EQ(buf[i], 0xaa) << i;
+      }
+    }
+  }
 }
 
 // --- PolyBench differential through the Engine/Instance path ---
