@@ -143,14 +143,14 @@ inline std::string SuiteRowsJson(const std::vector<SuiteRow>& rows) {
       out += ",";
     }
     first_row = false;
-    out += "\"" + JsonEscape(row.name) + "\":{";
+    out += StrFormat("\"%s\":{", JsonEscape(row.name).c_str());
     bool first_profile = true;
     for (const auto& [profile, result] : row.by_profile) {
       if (!first_profile) {
         out += ",";
       }
       first_profile = false;
-      out += "\"" + JsonEscape(profile) + "\":" + RunResultJson(result);
+      out += StrFormat("\"%s\":%s", JsonEscape(profile).c_str(), RunResultJson(result).c_str());
     }
     out += "}";
   }

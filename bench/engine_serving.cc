@@ -71,7 +71,8 @@ std::string TenantJson(const engine::TenantReport& t) {
 std::string LegJson(const engine::ServingReport& r) {
   std::string tenants;
   for (const engine::TenantReport& t : r.tenants) {
-    tenants += (tenants.empty() ? "" : ",") + ("\"" + JsonEscape(t.name) + "\":" + TenantJson(t));
+    tenants += StrFormat("%s\"%s\":%s", tenants.empty() ? "" : ",", JsonEscape(t.name).c_str(),
+                         TenantJson(t).c_str());
   }
   double goodput_ratio = r.offered > 0 ? static_cast<double>(r.completed) / r.offered : 0;
   double shed_rate = r.offered > 0 ? static_cast<double>(r.shed) / r.offered : 0;

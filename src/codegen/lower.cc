@@ -2,6 +2,7 @@
 #include <cassert>
 
 #include "src/codegen/codegen.h"
+#include "src/support/str.h"
 
 namespace nsf {
 
@@ -30,9 +31,9 @@ class Lowerer {
         type_(module.types[func_.type_index]),
         options_(options) {
     vf_.wasm_index = module.NumImportedFuncs() + defined_index;
-    vf_.name = func_.debug_name.empty()
-                   ? "f" + std::to_string(vf_.wasm_index)
-                   : func_.debug_name;
+    // StrFormat, not `"f" + std::to_string(...)`: GCC 12 at -O3 reports a
+    // false -Wrestrict on the std::string concatenation.
+    vf_.name = func_.debug_name.empty() ? StrFormat("f%u", vf_.wasm_index) : func_.debug_name;
     vf_.num_params = static_cast<uint32_t>(type_.params.size());
     vf_.has_ret = !type_.results.empty();
     if (vf_.has_ret) {

@@ -112,7 +112,8 @@ std::string ModuleToWat(const Module& module) {
     if (!f.debug_name.empty()) {
       out += " $" + f.debug_name;
     }
-    out += " " + FuncTypeToString(module.types[f.type_index]);
+    out += ' ';  // two appends: `" " + ...` trips GCC 12's false -Wrestrict at -O3
+    out += FuncTypeToString(module.types[f.type_index]);
     if (!f.locals.empty()) {
       out += " (local";
       for (ValType t : f.locals) {
