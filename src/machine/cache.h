@@ -25,6 +25,13 @@ inline constexpr uint32_t kCacheLineShift = 6;
 inline constexpr uint32_t kCacheLineSize = 64;
 static_assert(kCacheLineSize == 1u << kCacheLineShift, "line size and shift disagree");
 
+// Line numbers of the first and the last byte of a `size`-byte fetch at
+// `addr` (a zero-size fetch counts as one byte).
+inline uint64_t LineOf(uint64_t addr) { return addr >> kCacheLineShift; }
+inline uint64_t LastLineOf(uint64_t addr, uint32_t size) {
+  return LineOf(addr + (size > 0 ? size - 1 : 0));
+}
+
 class CacheModel {
  public:
   // size_bytes / (line_size * ways) sets. line_size and the set count must be

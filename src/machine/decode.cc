@@ -188,14 +188,8 @@ DMem LowerMem(const MemRef& m) {
   return d;
 }
 
-uint64_t FirstLine(uint64_t addr) { return addr >> kCacheLineShift; }
-
-uint64_t LastLine(uint64_t addr, uint32_t size) {
-  return (addr + (size > 0 ? size - 1 : 0)) >> kCacheLineShift;
-}
-
 uint8_t LineSpan(uint64_t addr, uint32_t size) {
-  return static_cast<uint8_t>(LastLine(addr, size) - FirstLine(addr) + 1);
+  return static_cast<uint8_t>(LastLineOf(addr, size) - LineOf(addr) + 1);
 }
 
 // Whether the record after a (non-target) record with handler `h` can only
@@ -802,10 +796,10 @@ DecodedProgram Predecode(const MProgram& program) {
       d.fetch_size = EncodedSize(in);
       d.fetch_lines = LineSpan(d.fetch_addr, d.fetch_size);
       if (prev_falls_through && !is_target[i] && d.fetch_lines == 1 &&
-          FirstLine(d.fetch_addr) == prev_last_line) {
+          LineOf(d.fetch_addr) == prev_last_line) {
         d.fetch_lines = 0;
       }
-      prev_last_line = LastLine(d.fetch_addr, d.fetch_size);
+      prev_last_line = LastLineOf(d.fetch_addr, d.fetch_size);
       if (fuse_at[i] != 0) {
         const MInstr& second = f.code[i + 1];
         if (fuse_at[i] == 1) {
@@ -821,10 +815,10 @@ DecodedProgram Predecode(const MProgram& program) {
         d.fetch_addr2 = f.code_base + f.instr_offsets[i + 1];
         d.fetch_size2 = EncodedSize(second);
         d.fetch_lines2 = LineSpan(d.fetch_addr2, d.fetch_size2);
-        if (d.fetch_lines2 == 1 && FirstLine(d.fetch_addr2) == prev_last_line) {
+        if (d.fetch_lines2 == 1 && LineOf(d.fetch_addr2) == prev_last_line) {
           d.fetch_lines2 = 0;
         }
-        prev_last_line = LastLine(d.fetch_addr2, d.fetch_size2);
+        prev_last_line = LastLineOf(d.fetch_addr2, d.fetch_size2);
         dp.stats.fused_pairs++;
         i++;
       } else {

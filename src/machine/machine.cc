@@ -267,9 +267,8 @@ void SimMachine::WriteStack(uint64_t addr, uint64_t bits) {
 }
 
 void SimMachine::FetchL1i(uint64_t addr, uint32_t size) {
-  uint64_t first = addr >> kCacheLineShift;
-  uint64_t last = (addr + (size > 0 ? size - 1 : 0)) >> kCacheLineShift;
-  for (uint64_t line = first; line <= last; line++) {
+  const uint64_t last = LastLineOf(addr, size);
+  for (uint64_t line = LineOf(addr); line <= last; line++) {
     uint64_t line_addr = line << kCacheLineShift;
     if (!l1i_.Access(line_addr)) {
       counters_.l1i_misses++;

@@ -45,12 +45,6 @@ bool FallsThrough(HOp h) {
          h != HOp::kCallHostMemGrow;
 }
 
-uint64_t FirstLine(uint64_t addr) { return addr >> kCacheLineShift; }
-
-uint64_t LastLine(uint64_t addr, uint32_t size) {
-  return (addr + (size > 0 ? size - 1 : 0)) >> kCacheLineShift;
-}
-
 bool HasMemOperand(const MInstr& in) {
   return in.dst.kind == OperandKind::kMem || in.src.kind == OperandKind::kMem;
 }
@@ -195,28 +189,28 @@ std::string VerifyDecodedProgram(const MProgram& prog, const DecodedProgram& dp)
           return at(di, StrFormat("elided fetch after a %s record, which does not fall through",
                                   HOpName(ph)));
         }
-        if (FirstLine(d.fetch_addr) != LastLine(d.fetch_addr, d.fetch_size)) {
+        if (LineOf(d.fetch_addr) != LastLineOf(d.fetch_addr, d.fetch_size)) {
           return at(di, "elided fetch spans more than one L1i line");
         }
         bool prev_fused = IsFusedHandler(ph) || IsFusedDataHandler(ph);
-        uint64_t prev_line = prev_fused ? LastLine(prev.fetch_addr2, prev.fetch_size2)
-                                        : LastLine(prev.fetch_addr, prev.fetch_size);
-        if (FirstLine(d.fetch_addr) != prev_line) {
+        uint64_t prev_line = prev_fused ? LastLineOf(prev.fetch_addr2, prev.fetch_size2)
+                                        : LastLineOf(prev.fetch_addr, prev.fetch_size);
+        if (LineOf(d.fetch_addr) != prev_line) {
           return at(di, StrFormat("elided fetch of line %llu, but the previous record last "
                                   "fetched line %llu",
-                                  static_cast<unsigned long long>(FirstLine(d.fetch_addr)),
+                                  static_cast<unsigned long long>(LineOf(d.fetch_addr)),
                                   static_cast<unsigned long long>(prev_line)));
         }
       }
       if ((IsFusedHandler(h) || IsFusedDataHandler(h)) && d.fetch_lines2 == 0) {
-        if (FirstLine(d.fetch_addr2) != LastLine(d.fetch_addr2, d.fetch_size2)) {
+        if (LineOf(d.fetch_addr2) != LastLineOf(d.fetch_addr2, d.fetch_size2)) {
           return at(di, "elided second fetch spans more than one L1i line");
         }
-        uint64_t primary_line = LastLine(d.fetch_addr, d.fetch_size);
-        if (FirstLine(d.fetch_addr2) != primary_line) {
+        uint64_t primary_line = LastLineOf(d.fetch_addr, d.fetch_size);
+        if (LineOf(d.fetch_addr2) != primary_line) {
           return at(di, StrFormat("elided second fetch of line %llu, but the primary last "
                                   "fetched line %llu",
-                                  static_cast<unsigned long long>(FirstLine(d.fetch_addr2)),
+                                  static_cast<unsigned long long>(LineOf(d.fetch_addr2)),
                                   static_cast<unsigned long long>(primary_line)));
         }
       }
