@@ -14,6 +14,16 @@
 //   - precomputed fetch address, encoded size, and L1i line span (almost all
 //     instructions fit one kCacheLineSize line, so the hot fetch is a single
 //     inline CacheModel::Access instead of SimMachine::FetchL1i's line walk);
+//   - fetch elision: a one-line fetch of the line that the record which must
+//     have run just before it fetched last can only hit MRU slot 0 of its
+//     L1i set, and a slot-0 hit writes no cache state, so such a fetch is
+//     marked fetch_lines = 0 and the dispatch prologue skips the probe.
+//     "Must have run just before": the record is not record 0 and not a
+//     branch target, and the previous record is not a jmp, call, call-reg,
+//     ret, or host call (a return site runs after the callee; a host hook may
+//     touch the caches). A fused second fetch is checked against its
+//     primary's last line. Retirement and fuel still run for every
+//     instruction, so every PerfCounters field is unchanged;
 //   - pre-truncated immediates and decoded [base+index*scale+disp] operands;
 //   - branch targets resolved to decoded-record indices;
 //   - fused `cmp|test + jcc` macro-ops: one record executes both, charging
@@ -143,7 +153,7 @@ struct DInstr {
   uint8_t b = 0;            // src gpr/xmm index
   uint8_t cond = 0;         // Cond (jcc/setcc, incl. the fused jcc)
   uint8_t flags = 0;        // kFlagSignExtend
-  uint8_t fetch_lines = 1;  // L1i lines spanned by this fetch (>=1)
+  uint8_t fetch_lines = 1;  // L1i lines spanned by this fetch; 0 = elided, must hit
   uint64_t fetch_addr = 0;  // code_base + instr_offsets[pc]
   uint32_t fetch_size = 0;  // EncodedSize(instr)
   uint32_t target = 0;      // branch: decoded index; call: func; host: hook id
@@ -152,7 +162,7 @@ struct DInstr {
   // Fused second element (the jcc): its own fetch record.
   uint64_t fetch_addr2 = 0;
   uint32_t fetch_size2 = 0;
-  uint8_t fetch_lines2 = 1;
+  uint8_t fetch_lines2 = 1;  // as fetch_lines, against the primary's last line
   const MInstr* orig = nullptr;  // original primary instruction
 
   static constexpr uint8_t kFlagSignExtend = 1;

@@ -328,8 +328,10 @@ class SimMachine {
   bool WriteFpBits(const Operand& o, uint8_t width, uint64_t v);
 
   // Instruction fetch through the L1i model for a possibly multi-line span;
-  // each line that misses L1i is probed in L2 (the predecoded path inlines
-  // the common single-line case).
+  // each line that misses L1i is probed in L2. The legacy core calls it for
+  // every fetch; the predecoded path inlines the single-line case and skips
+  // fetches predecode proved to be slot-0 hits (DInstr::fetch_lines == 0),
+  // so it only calls this for fetches spanning two or more lines.
   void FetchL1i(uint64_t addr, uint32_t size);
 
   // rdx:rax division convention shared by both paths. False on trap.
