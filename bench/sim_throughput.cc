@@ -43,7 +43,8 @@ struct ModeResult {
 
 // Reps of the sampling-overhead leg: off and on alternate rep by rep, so
 // both sides see the same host drift, and each side keeps its fastest rep.
-constexpr int kSamplingReps = 5;
+// Even, so each side runs first in half of the reps.
+constexpr int kSamplingReps = 6;
 
 // Runs rep number `rep` of one mode and folds it into `m` (fastest wall,
 // last outcome). False, with m->error set, on failure.
@@ -245,7 +246,11 @@ int main() {
   // identical engine/session shapes, off and on reps alternating (min of
   // kSamplingReps each): a run is only tens of milliseconds, so timing all
   // off reps and then all on reps let host drift between the two blocks
-  // swamp a 2% bar. The main loop's predecoded walls are not a fair
+  // swamp a 2% bar. Both sides run the same compiled module — the
+  // sampling engine resolves its sink by module hash — so they also share
+  // one DecodedProgram and its host memory layout, which otherwise moves
+  // single workloads by several percent either way. The main loop's
+  // predecoded walls are not a fair
   // baseline because they interleave with legacy-dispatch runs. Counter
   // identity against the main loop is still asserted: sampling must be
   // invisible to the simulated machine. The acceptance bar for the
@@ -262,46 +267,62 @@ int main() {
     engine::Engine on_eng(on_cfg);
     engine::Session off_session(&off_eng);
     engine::Session on_session(&on_eng);
-    std::vector<double> ratios;
-    for (const WorkloadSpec& spec : AllPolybench()) {
+    struct SamplingLeg {
+      const WorkloadSpec* spec;
+      engine::CompiledModuleRef code;
+      const ModeResult* baseline;
+      ModeResult off;
+      ModeResult on;
+    };
+    const std::vector<WorkloadSpec> specs = AllPolybench();
+    std::vector<SamplingLeg> legs;
+    for (const WorkloadSpec& spec : specs) {
       auto it = pred_by_name.find(spec.name);
       if (it == pred_by_name.end()) {
         continue;  // baseline failed above (already reported)
       }
-      engine::CompiledModuleRef off_code =
-          off_eng.CompileWorkload(spec, CodegenOptions::ChromeV8());
-      engine::CompiledModuleRef on_code = on_eng.CompileWorkload(spec, CodegenOptions::ChromeV8());
-      if (!off_code->ok || !on_code->ok) {
-        fprintf(stderr, "!! sampling leg %s: %s\n", spec.name.c_str(),
-                (!off_code->ok ? off_code : on_code)->error.c_str());
+      engine::CompiledModuleRef code = off_eng.CompileWorkload(spec, CodegenOptions::ChromeV8());
+      if (!code->ok) {
+        fprintf(stderr, "!! sampling leg %s: %s\n", spec.name.c_str(), code->error.c_str());
         failed = true;
         continue;
       }
-      ModeResult off;
-      ModeResult on;
-      off.ok = on.ok = true;
-      for (int rep = 0; rep < kSamplingReps && off.ok && on.ok; rep++) {
-        off.ok = RunRep(&off_session, spec, off_code, SimDispatch::kPredecoded, rep, &off);
-        on.ok = off.ok && RunRep(&on_session, spec, on_code, SimDispatch::kPredecoded, rep, &on);
+      legs.push_back(SamplingLeg{&spec, code, &it->second, {}, {}});
+      legs.back().off.ok = legs.back().on.ok = true;
+    }
+    // Reps outermost, so each workload's reps spread over the whole leg
+    // rather than landing in one slow host phase. The side that runs first
+    // alternates: the second run of a workload finds the host caches warm.
+    for (int rep = 0; rep < kSamplingReps; rep++) {
+      for (SamplingLeg& leg : legs) {
+        for (int side = 0; side < 2 && leg.off.ok && leg.on.ok; side++) {
+          bool on_side = (side + rep) % 2 == 1;
+          ModeResult* m = on_side ? &leg.on : &leg.off;
+          m->ok = RunRep(on_side ? &on_session : &off_session, *leg.spec, leg.code,
+                         SimDispatch::kPredecoded, rep, m);
+        }
       }
-      if (!off.ok || !on.ok) {
-        fprintf(stderr, "!! sampling leg %s: %s\n", spec.name.c_str(),
-                (!off.ok ? off.error : on.error).c_str());
+    }
+    std::vector<double> ratios;
+    for (const SamplingLeg& leg : legs) {
+      const std::string& name = leg.spec->name;
+      if (!leg.off.ok || !leg.on.ok) {
+        fprintf(stderr, "!! sampling leg %s: %s\n", name.c_str(),
+                (!leg.off.ok ? leg.off.error : leg.on.error).c_str());
         failed = true;
         continue;
       }
-      if (!(on.outcome.counters == it->second.outcome.counters) ||
-          !(off.outcome.counters == it->second.outcome.counters)) {
-        fprintf(stderr, "!! sampling leg %s: counters diverged with sampling on\n",
-                spec.name.c_str());
+      if (!(leg.on.outcome.counters == leg.baseline->outcome.counters) ||
+          !(leg.off.outcome.counters == leg.baseline->outcome.counters)) {
+        fprintf(stderr, "!! sampling leg %s: counters diverged with sampling on\n", name.c_str());
         failed = true;
       }
-      double ratio = off.best_wall > 0 ? on.best_wall / off.best_wall : 1.0;
+      double ratio = leg.off.best_wall > 0 ? leg.on.best_wall / leg.off.best_wall : 1.0;
       ratios.push_back(ratio);
       sampling_json += StrFormat("%s\"%s\":{\"off_seconds\":%.6f,\"on_seconds\":%.6f,"
                                  "\"ratio\":%.4f}",
-                                 sampling_json.empty() ? "" : ",", JsonEscape(spec.name).c_str(),
-                                 off.best_wall, on.best_wall, ratio);
+                                 sampling_json.empty() ? "" : ",", JsonEscape(name).c_str(),
+                                 leg.off.best_wall, leg.on.best_wall, ratio);
     }
     sampling_overhead = ratios.empty() ? 0 : GeoMean(ratios) - 1.0;
     telemetry::MetricsRegistry::Global()
