@@ -41,8 +41,7 @@ struct ModeResult {
   double best_wall = 0;         // fastest rep, seconds
 };
 
-// Reps of the sampling-overhead leg: off and on alternate rep by rep, so
-// both sides see the same host drift, and each side keeps its fastest rep.
+// Reps per side of the sampling-overhead leg, each side keeping its fastest.
 // Even, so each side runs first in half of the reps.
 constexpr int kSamplingReps = 6;
 
@@ -246,16 +245,14 @@ int main() {
   // identical engine/session shapes, off and on reps alternating (min of
   // kSamplingReps each): a run is only tens of milliseconds, so timing all
   // off reps and then all on reps let host drift between the two blocks
-  // swamp a 2% bar. Both sides run the same compiled module — the
-  // sampling engine resolves its sink by module hash — so they also share
-  // one DecodedProgram and its host memory layout, which otherwise moves
-  // single workloads by several percent either way. The main loop's
-  // predecoded walls are not a fair
-  // baseline because they interleave with legacy-dispatch runs. Counter
-  // identity against the main loop is still asserted: sampling must be
-  // invisible to the simulated machine. The acceptance bar for the
-  // always-on profiler is <= 2% geomean overhead; NSF_SAMPLING_MAX_OVERHEAD
-  // overrides it for noisy runners.
+  // swamp a 2% bar. Both sides run the same compiled module (the sampling
+  // engine resolves its sink by module hash), so they execute one
+  // DecodedProgram at one host address. The main loop's predecoded walls
+  // are not a fair baseline because they interleave with legacy-dispatch
+  // runs. Counter identity against the main loop is still asserted:
+  // sampling must be invisible to the simulated machine. The acceptance bar
+  // for the always-on profiler is <= 2% geomean overhead;
+  // NSF_SAMPLING_MAX_OVERHEAD overrides it for noisy runners.
   double sampling_overhead = 0;
   std::string sampling_json;
   {
@@ -288,7 +285,7 @@ int main() {
         continue;
       }
       legs.push_back(SamplingLeg{&spec, code, &it->second, {}, {}});
-      legs.back().off.ok = legs.back().on.ok = true;
+      legs.back().off.ok = legs.back().on.ok = true;  // a failing rep clears them
     }
     // Reps outermost, so each workload's reps spread over the whole leg
     // rather than landing in one slow host phase. The side that runs first
