@@ -776,15 +776,11 @@ DecodedProgram Predecode(const MProgram& program) {
       return label < n ? df.pc_to_index[label] : sentinel;
     };
 
-    // Pass 2: emit records.
-    //
-    // Fetch elision: a single-line fetch of the line the record that must
-    // have run just before it fetched last can only hit MRU slot 0 of its L1i
-    // set, and a slot-0 hit writes no cache state — so the record gets
-    // fetch_lines = 0 and the probe is skipped (retirement and fuel still
-    // run). "Must have run just before" holds when the record is not record
-    // 0, not a branch target, and its predecessor falls through to it; a
-    // fused second fetch always runs right after its primary.
+    // Pass 2: emit records, marking fetches that must hit MRU slot 0 with
+    // fetch_lines = 0 (see decode.h). The previous record must have run just
+    // before this one when this one is not record 0, not a branch target,
+    // and the previous record falls through; a fused second fetch always
+    // runs right after its primary.
     uint64_t prev_last_line = 0;  // last L1i line the previous record fetched
     bool prev_falls_through = false;
     df.code.reserve(record_count + 1);
