@@ -1,27 +1,25 @@
 // Code-cache read-path contention: reader threads hammer warm keys through
-// CodeCache::Lookup while the read path is either the wait-free
-// epoch-protected index (lockfree_reads = true, the engine default) or the
-// mutex-guarded map (= false, the pre-index baseline). Two scenarios per
-// (threads, mode) leg:
+// CodeCache::Lookup (the wait-free epoch-protected index) and, as the
+// baseline, through the read path the index replaced — one std::mutex over a
+// std::map of the same keys, kept here in the bench rather than in
+// src/engine. Two scenarios per (threads, mode) leg:
 //
-//   steady — warm hits only over a serving-sized key population (512 cached
-//            modules). Isolates the per-op read-path cost: the wait-free
+//   steady — warm hits only over a serving-sized key population (4096
+//            cached keys). Isolates the per-op read-path cost: the wait-free
 //            probe (pin, two acquire loads, ref copy — O(1) regardless of
-//            population) vs a shard lock acquisition plus an O(log n)
-//            std::map find over the same 512 entries.
-//   churn  — same readers, plus one writer periodically retiring and
-//            republishing every key (Clear + republish, the eviction /
-//            tier-up shape). This is the pathology the tentpole removes:
-//            mutex readers serialize behind the writer's lock and eat futex
-//            waits, wait-free readers never block — lock_waits stays
+//            population) vs a lock acquisition plus an O(log n) std::map
+//            find over the same 4096 entries.
+//   churn  — same readers, plus one writer periodically clearing and
+//            republishing every key (the eviction / tier-up shape). Mutex
+//            readers serialize behind the writer's lock and eat futex
+//            waits; wait-free readers never block — lock_waits stays
 //            exactly 0 on every lockfree leg.
 //
-// The cache is built with a single shard so every key contends on one lock
-// in mutex mode — the worst case the 16-shard engine default only dilutes.
-// All legs run on whatever cores the host offers (the JSON records "cpus");
-// on a single-core host threads time-slice, so the throughput signal is the
-// per-op read-path cost and the futex/scheduling overhead the mutex legs
-// pay — the wait-free legs' advantage only widens with real core counts.
+// The cache is built with a single shard so the writer's publishes all land
+// on one lock, as the baseline's do. All legs run on whatever cores the host
+// offers (the JSON records "cpus"); on a single-core host threads
+// time-slice, so the throughput signal is the per-op read-path cost and the
+// futex/scheduling overhead the mutex legs pay.
 //
 // Emits BENCH_cache_contention.json:
 //   {"cpus":N,"legs":[{scenario,threads,mode,hits,nulls,seconds,
@@ -33,8 +31,11 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <map>
+#include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -87,18 +88,69 @@ uint64_t Percentile(const std::vector<uint64_t>& sorted, double p) {
   return sorted[idx];
 }
 
-void PublishAllKeys(engine::CodeCache& cache, const engine::CompiledModuleRef& module) {
-  for (int k = 0; k < kKeys; k++) {
+// The lock-free side: the engine's code cache, one shard.
+class IndexCache {
+ public:
+  static constexpr bool kLockFree = true;
+  engine::CompiledModuleRef Lookup(uint64_t h) const { return cache_.Lookup(h, kFingerprint); }
+  void Clear() { cache_.Clear(); }
+  void Publish(uint64_t h, const engine::CompiledModuleRef& module) {
     engine::CompileInfo info;
-    cache.GetOrCompile(KeyHash(k), kFingerprint, [&] { return module; }, &info);
+    cache_.GetOrCompile(h, kFingerprint, [&] { return module; }, &info);
+  }
+  uint64_t lock_waits() const { return cache_.lock_waits(); }
+
+ private:
+  engine::CodeCache cache_{/*shard_count=*/1};
+};
+
+// The baseline: every read takes one mutex and finds its key in an ordered
+// map. lock_waits counts failed try_locks, as CodeCache::LockShard does.
+class MutexCache {
+ public:
+  static constexpr bool kLockFree = false;
+  engine::CompiledModuleRef Lookup(uint64_t h) const {
+    std::unique_lock<std::mutex> lock = Lock();
+    auto it = entries_.find({h, kFingerprint});
+    return it == entries_.end() ? nullptr : it->second;
+  }
+  void Clear() {
+    std::unique_lock<std::mutex> lock = Lock();
+    entries_.clear();
+  }
+  void Publish(uint64_t h, const engine::CompiledModuleRef& module) {
+    std::unique_lock<std::mutex> lock = Lock();
+    entries_[{h, kFingerprint}] = module;
+  }
+  uint64_t lock_waits() const { return lock_waits_.load(std::memory_order_relaxed); }
+
+ private:
+  std::unique_lock<std::mutex> Lock() const {
+    std::unique_lock<std::mutex> lock(mu_, std::try_to_lock);
+    if (!lock.owns_lock()) {
+      lock_waits_.fetch_add(1, std::memory_order_relaxed);
+      lock.lock();
+    }
+    return lock;
+  }
+
+  mutable std::mutex mu_;
+  std::map<std::pair<uint64_t, uint64_t>, engine::CompiledModuleRef> entries_;
+  mutable std::atomic<uint64_t> lock_waits_{0};
+};
+
+template <typename Cache>
+void PublishAllKeys(Cache& cache, const engine::CompiledModuleRef& module) {
+  for (int k = 0; k < kKeys; k++) {
+    cache.Publish(KeyHash(k), module);
   }
 }
 
-Leg RunLeg(const char* scenario, bool with_writer, int threads, bool lockfree,
+template <typename Cache>
+Leg RunLeg(const char* scenario, bool with_writer, int threads,
            const engine::CompiledModuleRef& module, double duration_seconds) {
-  engine::CodeCache cache(/*shard_count=*/1, /*disk_dir=*/"", /*disk_max_bytes=*/0, lockfree);
-  PublishAllKeys(cache, module);
-  cache.ResetTelemetry();
+  Cache cache;
+  PublishAllKeys(cache, module);  // one thread: no lock waits yet
 
   std::atomic<bool> go{false};
   std::atomic<bool> stop{false};
@@ -125,13 +177,13 @@ Leg RunLeg(const char* scenario, bool with_writer, int threads, bool lockfree,
         const uint64_t h = KeyHash(static_cast<int>(cursor % kKeys));
         if ((n & 15) == 0) {
           const auto t0 = std::chrono::steady_clock::now();
-          engine::CompiledModuleRef code = cache.Lookup(h, kFingerprint);
+          engine::CompiledModuleRef code = cache.Lookup(h);
           const auto t1 = std::chrono::steady_clock::now();
           (code != nullptr ? hits : nulls)++;
           samples[static_cast<size_t>(t)].push_back(static_cast<uint64_t>(
               std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count()));
         } else {
-          engine::CompiledModuleRef code = cache.Lookup(h, kFingerprint);
+          engine::CompiledModuleRef code = cache.Lookup(h);
           (code != nullptr ? hits : nulls)++;
         }
         n++;
@@ -172,7 +224,7 @@ Leg RunLeg(const char* scenario, bool with_writer, int threads, bool lockfree,
   Leg leg;
   leg.scenario = scenario;
   leg.threads = threads;
-  leg.lockfree = lockfree;
+  leg.lockfree = Cache::kLockFree;
   leg.seconds = elapsed;
   for (uint64_t c : hit_counts) {
     leg.hits += c;
@@ -216,10 +268,10 @@ int main() {
   for (const char* scenario : {"steady", "churn"}) {
     const bool with_writer = std::string(scenario) == "churn";
     for (int t : kThreads) {
-      for (bool lockfree : {false, true}) {
-        Leg leg = RunLeg(scenario, with_writer, t, lockfree, module, kLegSeconds);
+      for (Leg leg : {RunLeg<MutexCache>(scenario, with_writer, t, module, kLegSeconds),
+                      RunLeg<IndexCache>(scenario, with_writer, t, module, kLegSeconds)}) {
         fprintf(stderr, "  %-6s %2d threads %-8s : %8.2f Mhits/s  p99 %8llu ns  lock_waits %llu\n",
-                leg.scenario, leg.threads, lockfree ? "lockfree" : "mutex",
+                leg.scenario, leg.threads, leg.lockfree ? "lockfree" : "mutex",
                 leg.hits_per_sec / 1e6, static_cast<unsigned long long>(leg.p99_ns),
                 static_cast<unsigned long long>(leg.lock_waits));
         legs.push_back(leg);

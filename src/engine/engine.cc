@@ -77,9 +77,8 @@ size_t IndexHash(uint64_t module_hash, uint64_t fingerprint) {
 
 // --- CodeCache ---
 
-CodeCache::CodeCache(size_t shard_count, std::string disk_dir, uint64_t disk_max_bytes,
-                     bool lockfree_reads)
-    : disk_(std::move(disk_dir), disk_max_bytes), lockfree_reads_(lockfree_reads) {
+CodeCache::CodeCache(size_t shard_count, std::string disk_dir, uint64_t disk_max_bytes)
+    : disk_(std::move(disk_dir), disk_max_bytes) {
   size_t n = RoundUpPow2(shard_count == 0 ? 1 : shard_count);
   shards_.reserve(n);
   for (size_t i = 0; i < n; i++) {
@@ -203,15 +202,8 @@ std::unique_lock<std::mutex> CodeCache::LockShard(const Shard& shard) const {
 }
 
 CompiledModuleRef CodeCache::Lookup(uint64_t module_hash, uint64_t fingerprint) const {
-  const Shard& shard = ShardFor(module_hash);
-  if (lockfree_reads_) {
-    // The index holds exactly the completed entries, so the wait-free probe
-    // answers the same question without the lock.
-    return IndexLookup(shard, module_hash, fingerprint);
-  }
-  std::unique_lock<std::mutex> lock = LockShard(shard);
-  auto it = shard.entries.find({module_hash, fingerprint});
-  return it == shard.entries.end() ? nullptr : it->second.code;
+  // The index holds exactly the completed entries.
+  return IndexLookup(ShardFor(module_hash), module_hash, fingerprint);
 }
 
 void CodeCache::Republish(uint64_t module_hash, uint64_t fingerprint,
@@ -261,20 +253,18 @@ CompiledModuleRef CodeCache::GetOrCompile(uint64_t module_hash, uint64_t fingerp
   Shard& shard = ShardFor(module_hash);
   std::pair<uint64_t, uint64_t> key{module_hash, fingerprint};
 
-  if (lockfree_reads_) {
-    // The wait-free warm-hit path: an epoch-pinned index probe, no mutex.
-    // Under saturation this is the only code concurrent warm callers run —
-    // lock_waits stays 0 no matter how many threads hammer one key.
-    const auto t0 = std::chrono::steady_clock::now();
-    CompiledModuleRef hit = IndexLookup(shard, module_hash, fingerprint);
-    if (hit != nullptr) {
-      info->hit = true;
-      static telemetry::Counter& mem_hits = Count("engine.cache.mem_hit");
-      mem_hits.Add();
-      static telemetry::Histogram& hit_ns = Hist("engine.cache.hit_ns");
-      hit_ns.Record(ElapsedNs(t0));
-      return hit;
-    }
+  // The wait-free warm-hit path: an epoch-pinned index probe, no mutex.
+  // Under saturation this is the only code concurrent warm callers run —
+  // lock_waits stays 0 no matter how many threads hammer one key.
+  const auto t0 = std::chrono::steady_clock::now();
+  CompiledModuleRef hit = IndexLookup(shard, module_hash, fingerprint);
+  if (hit != nullptr) {
+    info->hit = true;
+    static telemetry::Counter& mem_hits = Count("engine.cache.mem_hit");
+    mem_hits.Add();
+    static telemetry::Histogram& hit_ns = Hist("engine.cache.hit_ns");
+    hit_ns.Record(ElapsedNs(t0));
+    return hit;
   }
 
   std::shared_ptr<Latch> latch;
@@ -284,8 +274,7 @@ CompiledModuleRef CodeCache::GetOrCompile(uint64_t module_hash, uint64_t fingerp
     std::unique_lock<std::mutex> lock = LockShard(shard);
     Entry& entry = shard.entries[key];
     if (entry.code != nullptr) {
-      // Mutex-path hit: either lockfree_reads is off (the A/B baseline), or
-      // the entry was published between the index probe and this lock.
+      // Published between the index probe above and this lock.
       info->hit = true;
       static telemetry::Counter& mem_hits = Count("engine.cache.mem_hit");
       mem_hits.Add();
@@ -702,8 +691,7 @@ double TieringPolicy::EstimateSeconds(const std::string& name, uint64_t* observe
 Engine::Engine(EngineConfig config)
     : config_(config),
       tiering_(config.tiering),
-      cache_(config.cache_shards, config.cache_dir, config.disk_cache_max_bytes,
-             config.cache_lockfree_reads) {
+      cache_(CodeCache::kDefaultShards, config.cache_dir, config.disk_cache_max_bytes) {
   if (!config_.cache_dir.empty()) {
     tiering_.LoadHistory(RunHistoryPath());
   }

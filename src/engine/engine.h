@@ -125,10 +125,6 @@ using CompiledModuleRef = std::shared_ptr<const CompiledModule>;
 //   same key blocks on the latch and shares the leader's result (exactly one
 //   backend invocation per key).
 //
-// `lockfree_reads = false` keeps the index maintained but routes every hit
-// through the shard mutex — the A/B baseline bench/cache_contention measures
-// against.
-//
 // Level 2 (disk, optional): before compiling, the leader probes the disk
 // tier for a serialized artifact of the key and — on an accepted load —
 // publishes it exactly like a compile result. After a successful backend
@@ -151,7 +147,7 @@ struct CompileInfo {
 class CodeCache {
  public:
   explicit CodeCache(size_t shard_count = kDefaultShards, std::string disk_dir = "",
-                     uint64_t disk_max_bytes = 0, bool lockfree_reads = true);
+                     uint64_t disk_max_bytes = 0);
   ~CodeCache();
 
   // Returns the cached module for (module_hash, fingerprint) or invokes
@@ -166,8 +162,8 @@ class CodeCache {
                                  const std::function<CompiledModuleRef()>& compile,
                                  CompileInfo* info);
 
-  // Read-only probe of the MEMORY tier (no latch or disk interaction): the
-  // completed entry or null.
+  // Wait-free probe of the MEMORY tier's hit index (no lock, latch or disk
+  // interaction): the completed entry or null.
   CompiledModuleRef Lookup(uint64_t module_hash, uint64_t fingerprint) const;
 
   // Hot code swap (continuous tiering): replaces the published code for
@@ -183,8 +179,6 @@ class CodeCache {
 
   size_t size() const;
   void Clear();  // memory tier only; the disk tier persists by design
-  size_t shard_count() const { return shards_.size(); }
-  bool lockfree_reads() const { return lockfree_reads_; }
 
   DiskCodeCache& disk() { return disk_; }
   const DiskCodeCache& disk() const { return disk_; }
@@ -275,7 +269,6 @@ class CodeCache {
 
   std::vector<std::unique_ptr<Shard>> shards_;
   DiskCodeCache disk_;
-  const bool lockfree_reads_;
   mutable std::atomic<uint64_t> lock_waits_{0};
   mutable std::atomic<uint64_t> lock_wait_nanos_{0};
   std::atomic<uint64_t> verify_rejects_{0};
@@ -389,11 +382,6 @@ uint64_t DefaultDiskCacheMaxBytes();
 
 struct EngineConfig {
   bool cache_enabled = true;   // table2-style compile-time benches disable it
-  size_t cache_shards = CodeCache::kDefaultShards;
-  // Wait-free warm-hit read path (epoch-protected index). Disabling routes
-  // every hit through the shard mutex — the contention baseline
-  // bench/cache_contention measures against; production keeps it on.
-  bool cache_lockfree_reads = true;
   // Disk tier: empty disables persistence. Defaults honor the NSF_CACHE_DIR /
   // NSF_CACHE_MAX_BYTES environment so every bench binary persists compiles
   // when the caller exports a cache directory.

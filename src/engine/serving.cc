@@ -277,8 +277,6 @@ struct ServingLoop::LoopState {
 ServingLoop::ServingLoop(Engine* engine, ServingConfig config)
     : engine_(engine), config_(std::move(config)) {
   config_.workers = std::max(1, config_.workers);
-  config_.drr_quantum_seconds = std::max(config_.drr_quantum_seconds, 1e-6);
-  config_.min_cost_seconds = std::max(config_.min_cost_seconds, 1e-9);
 }
 
 void ServingLoop::GeneratorMain(LoopState* loop) {
@@ -337,13 +335,13 @@ void ServingLoop::GeneratorMain(LoopState* loop) {
         // observed mean when this key has run, else the cost floor. The
         // estimate sharpens as the loop serves (every completion records).
         item.cost = std::max(engine_->tiering().EstimateSeconds(cfg.mix[item.payload].spec.name),
-                             config_.min_cost_seconds);
+                             kMinCostSeconds);
         // Dispatch deadline for SLO-aware scheduling: once this request has
-        // aged through slo_urgency_fraction of its SLO budget, waiting for
+        // aged through kSloUrgencyFraction of its SLO budget, waiting for
         // its DRR turn risks the p99 — PopUrgent serves it first.
-        if (config_.slo_aware_dispatch && cfg.p99_slo_seconds > 0) {
+        if (cfg.p99_slo_seconds > 0) {
           item.deadline_seconds =
-              item.enqueue_seconds + config_.slo_urgency_fraction * cfg.p99_slo_seconds;
+              item.enqueue_seconds + kSloUrgencyFraction * cfg.p99_slo_seconds;
         }
         loop->queue.Push(item);
         ts.admitted++;
@@ -397,9 +395,7 @@ void ServingLoop::WorkerMain(LoopState* loop, int worker_index) {
       }
       // SLO-aware dispatch first: a head past its deadline preempts DRR
       // order. Otherwise the usual deficit rotation picks.
-      if (config_.slo_aware_dispatch) {
-        deadline_dispatch = loop->queue.PopUrgent(SecondsSince(loop->start), &item);
-      }
+      deadline_dispatch = loop->queue.PopUrgent(SecondsSince(loop->start), &item);
       if (!deadline_dispatch) {
         loop->queue.Pop(&item);
       }
@@ -490,7 +486,7 @@ ServingReport ServingLoop::Run(const std::vector<TenantConfig>& tenants) {
   std::vector<double> quanta;
   quanta.reserve(tenants.size());
   for (const TenantConfig& t : tenants) {
-    quanta.push_back(std::max(t.weight, 0.0) * config_.drr_quantum_seconds);
+    quanta.push_back(std::max(t.weight, 0.0) * kDrrQuantumSeconds);
   }
   LoopState loop(std::move(quanta));
   loop.tenants.resize(tenants.size());

@@ -85,7 +85,7 @@ struct DrrItem {
   // Dispatch deadline for SLO-aware scheduling (same clock/unit as
   // enqueue_seconds; 0 = none). Once `now` passes it, PopUrgent may serve
   // this item out of DRR order — the serving loop sets it to
-  // enqueue + slo_urgency_fraction * the tenant's p99 SLO budget.
+  // enqueue + kSloUrgencyFraction * the tenant's p99 SLO budget.
   double deadline_seconds = 0;
 };
 
@@ -144,7 +144,7 @@ struct TenantConfig {
   std::string name;
   std::vector<RunRequest> mix;
   ArrivalConfig arrivals;
-  // DRR weight: quantum = weight * ServingConfig::drr_quantum_seconds.
+  // DRR weight: quantum = weight * kDrrQuantumSeconds.
   double weight = 1.0;
   // Admission control (fast-reject at enqueue, before any queueing):
   //   - shed when the tenant's queue already holds max_queue_depth requests;
@@ -242,27 +242,28 @@ struct ServingReport {
   }
 };
 
+// DRR quantum per unit tenant weight, in the cost unit (estimated seconds).
+// Small vs typical request cost => fine-grained interleaving.
+inline constexpr double kDrrQuantumSeconds = 0.002;
+// Cost floor for unestimated requests (cold keys): keeps every DRR rotation
+// progressing when the run-history estimate is 0.
+inline constexpr double kMinCostSeconds = 1e-4;
+// SLO-aware dispatch: once a queued request's age reaches this fraction of
+// its tenant's p99 SLO budget, workers serve it deadline-first instead of
+// waiting for its DRR turn (DrrQueue::PopUrgent). Only tenants with
+// p99_slo_seconds set get deadlines; the others are pure DRR.
+inline constexpr double kSloUrgencyFraction = 0.75;
+
 struct ServingConfig {
   int workers = 4;
   double duration_seconds = 1.0;    // arrival-generation horizon
   double drain_timeout_seconds = 60;  // max wait for queues to empty after it
-  // DRR quantum per unit weight, in the cost unit (estimated seconds). Small
-  // vs typical request cost => fine-grained interleaving; the floor keeps
-  // rotation progressing when estimates are 0 (cold keys).
-  double drr_quantum_seconds = 0.002;
-  double min_cost_seconds = 1e-4;   // cost floor for unestimated requests
   // Arm latency-SLO shedding only after this many completions per tenant.
   uint64_t slo_min_samples = 32;
   // Period for Engine::FlushRunHistory from the generator thread (0 = only
   // the final flush when the loop ends).
   double flush_period_seconds = 0.5;
   size_t slowest_per_tenant = 8;    // tail depth kept in TenantReport::slowest
-  // SLO-aware dispatch: when a queued request's age reaches
-  // slo_urgency_fraction of its tenant's p99 SLO budget, workers serve it
-  // deadline-first instead of waiting for its DRR turn (DrrQueue::PopUrgent).
-  // Only affects tenants with p99_slo_seconds set; pure DRR otherwise.
-  bool slo_aware_dispatch = true;
-  double slo_urgency_fraction = 0.75;
 };
 
 // The serving loop itself. Construction is cheap; Run() spawns the workers

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "src/support/rng.h"
 #include "src/support/str.h"
 
 namespace nsf {
@@ -170,33 +169,6 @@ BenchHarness::BatchMeasure BenchHarness::MeasureBatch(
     }
     out.results.push_back(std::move(r));
   }
-  return out;
-}
-
-Sample BenchHarness::JitteredSeconds(const WorkloadSpec& spec, const CodegenOptions& options,
-                                     double seconds, int reps) const {
-  // Deterministic per-(workload, profile) jitter, ±0.5%, modeling the
-  // run-to-run variance the paper reports as standard error.
-  Rng rng(Fnv1a(spec.name + "|" + options.profile_name));
-  std::vector<double> samples;
-  samples.reserve(reps);
-  for (int i = 0; i < reps; i++) {
-    double eps = (rng.NextDouble() - 0.5) * 0.01;
-    samples.push_back(seconds * (1.0 + eps));
-  }
-  double mean = 0;
-  for (double s : samples) {
-    mean += s;
-  }
-  mean /= reps;
-  double var = 0;
-  for (double s : samples) {
-    var += (s - mean) * (s - mean);
-  }
-  var /= std::max(1, reps - 1);
-  Sample out;
-  out.mean = mean;
-  out.stderr_ = std::sqrt(var / reps);
   return out;
 }
 

@@ -39,12 +39,6 @@ struct RunResult {
   bool validated = false;       // outputs matched the reference run
 };
 
-// Mean / standard-error pair, as the paper reports (5 runs).
-struct Sample {
-  double mean = 0;
-  double stderr_ = 0;
-};
-
 double GeoMean(const std::vector<double>& xs);
 double Median(std::vector<double> xs);
 
@@ -84,12 +78,6 @@ class BenchHarness {
   // and every parallel run's outputs are cmp'd against them.
   BatchMeasure MeasureBatch(const std::vector<engine::RunRequest>& requests, int workers,
                             bool validate = true);
-
-  // Seconds with jitter samples for table rendering: a documented, seeded
-  // ±0.5% jitter model produces the reported mean ± stderr (the simulator
-  // itself is deterministic).
-  Sample JitteredSeconds(const WorkloadSpec& spec, const CodegenOptions& options, double seconds,
-                         int reps = 5) const;
 
   // The reference (native) outputs are cached per workload name. Must not be
   // called while a Measure*/MeasureBatch on another thread is in flight: the

@@ -65,8 +65,4 @@ uint64_t Fnv1a(const uint8_t* data, size_t size) {
   return h;
 }
 
-uint64_t Fnv1a(const std::string& s) {
-  return Fnv1a(reinterpret_cast<const uint8_t*>(s.data()), s.size());
-}
-
 }  // namespace nsf

@@ -24,7 +24,6 @@ bool EndsWith(const std::string& s, const std::string& suffix);
 // FNV-1a over a byte buffer; used for cheap content fingerprints in tests and
 // output validation.
 uint64_t Fnv1a(const uint8_t* data, size_t size);
-uint64_t Fnv1a(const std::string& s);
 
 }  // namespace nsf
 

@@ -217,6 +217,91 @@ TEST(Fusion, FuelExpiringOnTheFusedJcc) {
   EXPECT_EQ(r.legacy_counters.instructions_retired, 2u);  // the jcc tripped it
 }
 
+// --- Round-2 data-pair fusion: every shape fuses, counters unchanged ---
+
+// Predecodes `prog` (one function, one candidate pair at pc 0 or 1) and
+// returns the handler of the record holding instruction `pc`.
+HOp HandlerAt(const MProgram& prog, uint32_t pc, uint64_t* fused_pairs) {
+  DecodedProgram dp = Predecode(prog);
+  *fused_pairs = dp.stats.fused_pairs;
+  return static_cast<HOp>(dp.funcs[0].code[dp.funcs[0].pc_to_index[pc]].handler);
+}
+
+TEST(DataPairFusion, MovImmThenMovFuses) {
+  MProgram prog;
+  MFunction f;
+  f.code.push_back(MInstr::RI(MOp::kMov, Gpr::kRcx, 7, 8));
+  f.code.push_back(MInstr::RR(MOp::kMov, Gpr::kRax, Gpr::kRcx, 8));
+  f.code.push_back(Ret());
+  prog.funcs.push_back(std::move(f));
+  prog.Link();
+
+  uint64_t fused = 0;
+  EXPECT_EQ(HandlerAt(prog, 0, &fused), HOp::kFusedMovRIMovRR);
+  EXPECT_EQ(fused, 1u);
+  BothResults r = RunBoth(prog);
+  ASSERT_TRUE(r.legacy.ok);
+  EXPECT_EQ(r.legacy.ret_i, 7u);
+  EXPECT_EQ(r.legacy_counters.instructions_retired, 3u);
+}
+
+// store [rdi + heap], rsi ; load rcx, dword [rdi + heap] ; mov rax, rcx ; ret
+MProgram LoadThenMov(bool sign_extend) {
+  MProgram prog;
+  prog.memory_pages = 1;
+  MFunction f;
+  const MemRef slot = MemRef::BaseDisp(Gpr::kRdi, static_cast<int32_t>(kHeapBase));
+  f.code.push_back(MInstr::MR(MOp::kStore, slot, Gpr::kRsi, 8));
+  MInstr load = MInstr::RM(MOp::kLoad, Gpr::kRcx, slot, 4);
+  load.sign_extend = sign_extend;
+  f.code.push_back(load);
+  f.code.push_back(MInstr::RR(MOp::kMov, Gpr::kRax, Gpr::kRcx, 8));
+  f.code.push_back(Ret());
+  prog.funcs.push_back(std::move(f));
+  prog.Link();
+  return prog;
+}
+
+TEST(DataPairFusion, ZeroExtendingLoadThenMovFuses) {
+  MProgram prog = LoadThenMov(/*sign_extend=*/false);
+  uint64_t fused = 0;
+  EXPECT_EQ(HandlerAt(prog, 1, &fused), HOp::kFusedLoadZMovRR);
+  EXPECT_EQ(fused, 1u);
+  BothResults r = RunBoth(prog, {8, 0xFFFFFFFF80000001ull});
+  ASSERT_TRUE(r.legacy.ok);
+  EXPECT_EQ(r.legacy.ret_i, 0x80000001ull);
+  EXPECT_EQ(r.legacy_counters.loads_retired, 1u);
+  EXPECT_EQ(r.legacy_counters.stores_retired, 1u);
+}
+
+TEST(DataPairFusion, SignExtendingLoadThenMovIsNotFused) {
+  MProgram prog = LoadThenMov(/*sign_extend=*/true);
+  uint64_t fused = 0;
+  EXPECT_NE(HandlerAt(prog, 1, &fused), HOp::kFusedLoadZMovRR);
+  EXPECT_EQ(fused, 0u);
+  BothResults r = RunBoth(prog, {8, 0x80000001ull});
+  ASSERT_TRUE(r.legacy.ok);
+  EXPECT_EQ(r.legacy.ret_i, 0xFFFFFFFF80000001ull);
+}
+
+TEST(DataPairFusion, MovThenAddFuses) {
+  MProgram prog;
+  MFunction f;
+  f.code.push_back(MInstr::RR(MOp::kMov, Gpr::kRax, Gpr::kRdi, 8));
+  f.code.push_back(MInstr::RR(MOp::kAdd, Gpr::kRax, Gpr::kRsi, 8));
+  f.code.push_back(Ret());
+  prog.funcs.push_back(std::move(f));
+  prog.Link();
+
+  uint64_t fused = 0;
+  EXPECT_EQ(HandlerAt(prog, 0, &fused), HOp::kFusedMovRRAddRR);
+  EXPECT_EQ(fused, 1u);
+  BothResults r = RunBoth(prog, {40, 2});
+  ASSERT_TRUE(r.legacy.ok);
+  EXPECT_EQ(r.legacy.ret_i, 42u);
+  EXPECT_EQ(r.legacy_counters.instructions_retired, 3u);
+}
+
 // --- Trap-path differentials ---
 
 TEST(DecodeDifferential, OutOfBoundsLoad) {

@@ -242,6 +242,43 @@ TEST(Drr, DrainAllEmptiesEveryQueue) {
   EXPECT_FALSE(q.Pop(&item));
 }
 
+TEST(Drr, PopUrgentServesAPassedDeadlineAheadOfDrrOrder) {
+  // DRR order would serve tenant 0 first; tenant 1's head is past its
+  // deadline, so PopUrgent takes it out of turn and charges the jump to
+  // tenant 1's deficit, which goes negative while its queue still holds work.
+  engine::DrrQueue q({1.0, 1.0});
+  q.Push(Item(0, 0.5, 0));
+  engine::DrrItem urgent = Item(1, 0.75, 1);
+  urgent.deadline_seconds = 1.0;
+  q.Push(urgent);
+  q.Push(Item(1, 0.75, 2));
+  engine::DrrItem item;
+  ASSERT_TRUE(q.PopUrgent(2.0, &item));
+  EXPECT_EQ(item.tenant, 1u);
+  EXPECT_EQ(item.seq, 1u);
+  EXPECT_EQ(q.deficit(1), -0.75);
+  EXPECT_EQ(q.depth(1), 1u);
+  // Tenant 1's remaining head has no deadline: nothing else is urgent, and
+  // the DRR rotation resumes at tenant 0.
+  EXPECT_FALSE(q.PopUrgent(2.0, &item));
+  ASSERT_TRUE(q.Pop(&item));
+  EXPECT_EQ(item.tenant, 0u);
+}
+
+TEST(Drr, PopUrgentIsFalseWhenNoHeadIsPastItsDeadline) {
+  engine::DrrQueue q({1.0, 1.0});
+  engine::DrrItem item;
+  EXPECT_FALSE(q.PopUrgent(5.0, &item));  // empty queue
+  engine::DrrItem later = Item(0, 1.0, 0);
+  later.deadline_seconds = 3.0;
+  q.Push(later);
+  q.Push(Item(1, 1.0, 1));  // no deadline: never urgent
+  EXPECT_FALSE(q.PopUrgent(2.0, &item));
+  EXPECT_EQ(q.total_depth(), 2u);
+  EXPECT_EQ(q.deficit(0), 0.0);
+  EXPECT_EQ(q.deficit(1), 0.0);
+}
+
 // --- ServingLoop ---
 
 TEST(ServingLoop, SmokeAccountsEveryArrivalAtEightWorkers) {
