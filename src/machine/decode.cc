@@ -527,6 +527,14 @@ void LowerOne(const MInstr& in, DInstr* d, const MapLabel& map_label) {
                                     : HOp::kSarRI);
         return;
       }
+      if (IsR(in.dst)) {
+        // Count in cl (any non-immediate src2), masked to the width at exec.
+        d->a = static_cast<uint8_t>(in.dst.gpr);
+        Use(d, in.op == MOp::kShl   ? HOp::kShlRC
+               : in.op == MOp::kShr ? HOp::kShrRC
+                                    : HOp::kSarRC);
+        return;
+      }
       break;
 
     case MOp::kCmp:
@@ -1463,6 +1471,33 @@ nsf_dispatch:
     NSF_ALU_BODY(static_cast<uint64_t>(SignExtend(av, d->width) >> d->imm));
     NSF_NEXT(dpc + 1);
   }
+
+  // Shifts by cl: the count is rcx masked to the operation width, exactly as
+  // ExecGenericOp computes it.
+#define NSF_CL_COUNT (gprs_[static_cast<uint8_t>(Gpr::kRcx)] & (uint32_t{d->width} * 8 - 1))
+
+  NSF_CASE(ShlRC) {
+    counters_.micro_cycles += cost_.simple;
+    uint64_t av = TruncToWidth(gprs_[d->a], d->width);
+    NSF_ALU_BODY(av << NSF_CL_COUNT);
+    NSF_NEXT(dpc + 1);
+  }
+
+  NSF_CASE(ShrRC) {
+    counters_.micro_cycles += cost_.simple;
+    uint64_t av = TruncToWidth(gprs_[d->a], d->width);
+    NSF_ALU_BODY(av >> NSF_CL_COUNT);
+    NSF_NEXT(dpc + 1);
+  }
+
+  NSF_CASE(SarRC) {
+    counters_.micro_cycles += cost_.simple;
+    uint64_t av = TruncToWidth(gprs_[d->a], d->width);
+    NSF_ALU_BODY(static_cast<uint64_t>(SignExtend(av, d->width) >> NSF_CL_COUNT));
+    NSF_NEXT(dpc + 1);
+  }
+
+#undef NSF_CL_COUNT
 
 #undef NSF_ALU_BODY
 

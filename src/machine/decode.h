@@ -82,8 +82,8 @@ const char* SimDispatchBackend();
 // order, so there is exactly one source of truth.
 //
 // Naming: suffix letters are the resolved operand shapes (R = gpr, I = imm,
-// M = mem, X = xmm), dst first. kGeneric runs the legacy body off the
-// original MInstr for every shape not specialized here.
+// M = mem, X = xmm, C = the count in cl), dst first. kGeneric runs the
+// legacy body off the original MInstr for every shape not specialized here.
 #define NSF_HANDLER_LIST(V)                                                 \
   /* control */                                                             \
   V(EndOfCode) V(Generic)                                                   \
@@ -104,7 +104,7 @@ const char* SimDispatchBackend();
   V(XorRR) V(XorRI) V(XorRM)                                                \
   V(ImulRR) V(ImulRI) V(ImulRM)                                             \
   V(NegR) V(NotR)                                                           \
-  V(ShlRI) V(ShrRI) V(SarRI)                                                \
+  V(ShlRI) V(ShrRI) V(SarRI) V(ShlRC) V(ShrRC) V(SarRC)                     \
   V(CmpRR) V(CmpRI) V(CmpRM) V(TestRR) V(TestRI)                            \
   V(Setcc) V(Cdq) V(IdivR) V(DivR) V(MovsxdRR)                              \
   /* SSE scalar */                                                          \
