@@ -840,6 +840,24 @@ TrapKind SimMachine::ExecDecoded() {
   const DInstr* code = dfunc->code.data();
   uint32_t dpc = 0;
   const DInstr* d = code;
+  // Retirement count and static cycle charges live in locals so they can stay
+  // in registers; NSF_SYNC writes them back before every return and before a
+  // host hook runs. DataAccess, FetchL1i and ExecGenericOp keep charging
+  // counters_.micro_cycles directly — the charges are additive, so the sum is
+  // the same.
+  uint64_t retired = counters_.instructions_retired;
+  uint64_t cycles = 0;
+#define NSF_SYNC()                                \
+  do {                                            \
+    counters_.instructions_retired = retired;     \
+    counters_.micro_cycles += cycles;             \
+    cycles = 0;                                   \
+  } while (0)
+#define NSF_RETURN(v) \
+  do {                \
+    NSF_SYNC();       \
+    return (v);       \
+  } while (0)
 
 // fetch_lines 0 marks a fetch predecode proved to be a slot-0 L1i hit (see
 // Predecode): such a hit writes no cache state, so the probe is skipped.
@@ -848,20 +866,19 @@ TrapKind SimMachine::ExecDecoded() {
     if ((flines) == 1) {                                    \
       if (!l1i_.Access(fa)) {                               \
         counters_.l1i_misses++;                             \
-        counters_.micro_cycles += cost_.l1_miss;            \
+        cycles += cost_.l1_miss;            \
         if (!l2_.Access(fa)) {                              \
           counters_.l2_misses++;                            \
-          counters_.micro_cycles += cost_.l2_miss;          \
+          cycles += cost_.l2_miss;          \
         }                                                   \
       }                                                     \
     } else if ((flines) != 0) {                             \
       FetchL1i((fa), (fsz));                                \
     }                                                       \
-    counters_.instructions_retired++;                       \
-    if (counters_.instructions_retired > fuel) {            \
+    if (++retired > fuel) {                                 \
       pending_trap_ = TrapKind::kFuelExhausted;             \
       trap_msg_ = "instruction budget exceeded";            \
-      return pending_trap_;                                 \
+      NSF_RETURN(pending_trap_);                            \
     }                                                       \
   } while (0)
 
@@ -944,18 +961,18 @@ nsf_dispatch:
     // bounds check, without the per-instruction cost. No fetch, no retire.
     pending_trap_ = TrapKind::kHostError;
     trap_msg_ = StrFormat("pc out of range in %s", program_->funcs[cur_func_].name.c_str());
-    return pending_trap_;
+    NSF_RETURN(pending_trap_);
   }
 
   NSF_CASE(Generic) {
     if (!ExecGenericOp(*d->orig)) {
-      return pending_trap_;
+      NSF_RETURN(pending_trap_);
     }
     NSF_NEXT(dpc + 1);
   }
 
   NSF_CASE(Jmp) {
-    counters_.micro_cycles += cost_.branch + cost_.branch_taken_extra;
+    cycles += cost_.branch + cost_.branch_taken_extra;
     counters_.branches_retired++;
     counters_.taken_branches++;
     NSF_SAMPLE_BACKEDGE(d->target);
@@ -963,12 +980,12 @@ nsf_dispatch:
   }
 
   NSF_CASE(Jcc) {
-    counters_.micro_cycles += cost_.branch;
+    cycles += cost_.branch;
     counters_.branches_retired++;
     counters_.cond_branches_retired++;
     if (EvalCond(static_cast<Cond>(d->cond))) {
       counters_.taken_branches++;
-      counters_.micro_cycles += cost_.branch_taken_extra;
+      cycles += cost_.branch_taken_extra;
       NSF_SAMPLE_BACKEDGE(d->target);
       NSF_NEXT(d->target);
     }
@@ -976,7 +993,7 @@ nsf_dispatch:
   }
 
   NSF_CASE(Call) {
-    counters_.micro_cycles += cost_.call;
+    cycles += cost_.call;
     counters_.branches_retired++;
     counters_.calls++;
     // Return-address push (architecturally a store).
@@ -984,11 +1001,11 @@ nsf_dispatch:
     set_gpr(Gpr::kRsp, rsp);
     uint8_t* p;
     if (!DataAccess(rsp, 8, true, &p)) {
-      return pending_trap_;
+      NSF_RETURN(pending_trap_);
     }
     if (frames_.size() >= 4096) {
       pending_trap_ = TrapKind::kCallStackExhausted;
-      return pending_trap_;
+      NSF_RETURN(pending_trap_);
     }
     frames_.push_back(Frame{cur_func_, dpc + 1});
     cur_func_ = d->target;
@@ -999,24 +1016,24 @@ nsf_dispatch:
   }
 
   NSF_CASE(CallReg) {
-    counters_.micro_cycles += cost_.call;
+    cycles += cost_.call;
     counters_.branches_retired++;
     counters_.calls++;
     uint64_t target = gprs_[d->a];
     if (target >= program_->funcs.size()) {
       pending_trap_ = TrapKind::kIndirectCallOutOfBounds;
       trap_msg_ = "bad indirect target";
-      return pending_trap_;
+      NSF_RETURN(pending_trap_);
     }
     uint64_t rsp = gpr(Gpr::kRsp) - 8;
     set_gpr(Gpr::kRsp, rsp);
     uint8_t* p;
     if (!DataAccess(rsp, 8, true, &p)) {
-      return pending_trap_;
+      NSF_RETURN(pending_trap_);
     }
     if (frames_.size() >= 4096) {
       pending_trap_ = TrapKind::kCallStackExhausted;
-      return pending_trap_;
+      NSF_RETURN(pending_trap_);
     }
     frames_.push_back(Frame{cur_func_, dpc + 1});
     cur_func_ = static_cast<uint32_t>(target);
@@ -1027,15 +1044,15 @@ nsf_dispatch:
   }
 
   NSF_CASE(Ret) {
-    counters_.micro_cycles += cost_.ret;
+    cycles += cost_.ret;
     counters_.branches_retired++;
     if (frames_.empty()) {
-      return TrapKind::kNone;  // outermost return: done
+      NSF_RETURN(TrapKind::kNone);  // outermost return: done
     }
     // Return-address pop (architecturally a load).
     uint8_t* p;
     if (!DataAccess(gpr(Gpr::kRsp), 8, false, &p)) {
-      return pending_trap_;
+      NSF_RETURN(pending_trap_);
     }
     set_gpr(Gpr::kRsp, gpr(Gpr::kRsp) + 8);
     Frame f = frames_.back();
@@ -1047,33 +1064,37 @@ nsf_dispatch:
   }
 
   NSF_CASE(CallHostHook) {
-    counters_.micro_cycles += cost_.host_call;
+    cycles += cost_.host_call;
     counters_.branches_retired++;
     counters_.calls++;
     if (d->target < hooks_.size() && hooks_[d->target]) {
+      // The hook may read counters() or ResetCounters(): hand it the
+      // tallies, then resume from whatever retirement count it left.
+      NSF_SYNC();
       hooks_[d->target](*this);
+      retired = counters_.instructions_retired;
       if (pending_trap_ != TrapKind::kNone) {
-        return pending_trap_;
+        NSF_RETURN(pending_trap_);
       }
     } else {
       pending_trap_ = TrapKind::kHostError;
       trap_msg_ = StrFormat("no host hook %u", d->target);
-      return pending_trap_;
+      NSF_RETURN(pending_trap_);
     }
     NSF_NEXT(dpc + 1);
   }
 
   NSF_CASE(CallHostTrap) {
-    counters_.micro_cycles += cost_.host_call;
+    cycles += cost_.host_call;
     counters_.branches_retired++;
     counters_.calls++;
     pending_trap_ = static_cast<TrapKind>(d->imm);
     trap_msg_ = "trap stub";
-    return pending_trap_;
+    NSF_RETURN(pending_trap_);
   }
 
   NSF_CASE(CallHostMemSize) {
-    counters_.micro_cycles += cost_.host_call;
+    cycles += cost_.host_call;
     counters_.branches_retired++;
     counters_.calls++;
     set_gpr(Gpr::kRax, heap_pages());
@@ -1081,7 +1102,7 @@ nsf_dispatch:
   }
 
   NSF_CASE(CallHostMemGrow) {
-    counters_.micro_cycles += cost_.host_call;
+    cycles += cost_.host_call;
     counters_.branches_retired++;
     counters_.calls++;
     uint64_t delta = TruncToWidth(gpr(Gpr::kRdi), 4);
@@ -1102,19 +1123,19 @@ nsf_dispatch:
 
 #define NSF_FUSED_TAIL()                                            \
   NSF_PROLOGUE(d->fetch_addr2, d->fetch_size2, d->fetch_lines2);    \
-  counters_.micro_cycles += cost_.branch;                           \
+  cycles += cost_.branch;                           \
   counters_.branches_retired++;                                     \
   counters_.cond_branches_retired++;                                \
   if (EvalCond(static_cast<Cond>(d->cond))) {                       \
     counters_.taken_branches++;                                     \
-    counters_.micro_cycles += cost_.branch_taken_extra;             \
+    cycles += cost_.branch_taken_extra;             \
     NSF_SAMPLE_BACKEDGE(d->target);                                 \
     NSF_NEXT(d->target);                                            \
   }                                                                 \
   NSF_NEXT(dpc + 1)
 
   NSF_CASE(FusedCmpJccRR) {
-    counters_.micro_cycles += cost_.simple;
+    cycles += cost_.simple;
     uint64_t av = TruncToWidth(gprs_[d->a], d->width);
     uint64_t bv = TruncToWidth(gprs_[d->b], d->width);
     cmp_kind_ = CmpKind::kInt;
@@ -1126,7 +1147,7 @@ nsf_dispatch:
   }
 
   NSF_CASE(FusedCmpJccRI) {
-    counters_.micro_cycles += cost_.simple;
+    cycles += cost_.simple;
     uint64_t av = TruncToWidth(gprs_[d->a], d->width);
     uint64_t bv = static_cast<uint64_t>(d->imm);
     cmp_kind_ = CmpKind::kInt;
@@ -1138,11 +1159,11 @@ nsf_dispatch:
   }
 
   NSF_CASE(FusedCmpJccRM) {
-    counters_.micro_cycles += cost_.simple;
+    cycles += cost_.simple;
     uint64_t av = TruncToWidth(gprs_[d->a], d->width);
     uint8_t* p;
     if (!DataAccess(DAddr(gprs_, d->mem), d->width, false, &p)) {
-      return pending_trap_;
+      NSF_RETURN(pending_trap_);
     }
     uint64_t bv = LoadWidth(p, d->width);
     cmp_kind_ = CmpKind::kInt;
@@ -1154,7 +1175,7 @@ nsf_dispatch:
   }
 
   NSF_CASE(FusedTestJccRR) {
-    counters_.micro_cycles += cost_.simple;
+    cycles += cost_.simple;
     uint64_t av = TruncToWidth(gprs_[d->a], d->width);
     uint64_t bv = TruncToWidth(gprs_[d->b], d->width);
     cmp_kind_ = CmpKind::kTest;
@@ -1164,7 +1185,7 @@ nsf_dispatch:
   }
 
   NSF_CASE(FusedTestJccRI) {
-    counters_.micro_cycles += cost_.simple;
+    cycles += cost_.simple;
     uint64_t av = TruncToWidth(gprs_[d->a], d->width);
     uint64_t bv = static_cast<uint64_t>(d->imm);
     cmp_kind_ = CmpKind::kTest;
@@ -1175,7 +1196,7 @@ nsf_dispatch:
 
   NSF_CASE(FusedGenJcc) {
     if (!ExecGenericOp(*d->orig)) {
-      return pending_trap_;
+      NSF_RETURN(pending_trap_);
     }
     NSF_FUSED_TAIL();
   }
@@ -1195,33 +1216,33 @@ nsf_dispatch:
 #define NSF_PAIR2_W ((d->target >> 16) & 0xff)
 
   NSF_CASE(FusedMovRIMovRR) {
-    counters_.micro_cycles += cost_.simple;
+    cycles += cost_.simple;
     gprs_[d->a] = static_cast<uint64_t>(d->imm);
     NSF_PROLOGUE(d->fetch_addr2, d->fetch_size2, d->fetch_lines2);
-    counters_.micro_cycles += cost_.simple;
+    cycles += cost_.simple;
     gprs_[NSF_PAIR2_DST] = TruncToWidth(gprs_[NSF_PAIR2_SRC], NSF_PAIR2_W);
     NSF_NEXT(dpc + 1);
   }
 
   NSF_CASE(FusedLoadZMovRR) {
-    counters_.micro_cycles += cost_.simple;  // load cost added in DataAccess
+    cycles += cost_.simple;  // load cost added in DataAccess
     uint8_t* p;
     if (!DataAccess(DAddr(gprs_, d->mem), d->width, false, &p)) {
-      return pending_trap_;
+      NSF_RETURN(pending_trap_);
     }
     uint64_t v = LoadWidth(p, d->width);
     gprs_[d->a] = v;
     NSF_PROLOGUE(d->fetch_addr2, d->fetch_size2, d->fetch_lines2);
-    counters_.micro_cycles += cost_.simple;
+    cycles += cost_.simple;
     gprs_[NSF_PAIR2_DST] = TruncToWidth(gprs_[NSF_PAIR2_SRC], NSF_PAIR2_W);
     NSF_NEXT(dpc + 1);
   }
 
   NSF_CASE(FusedMovRRAddRR) {
-    counters_.micro_cycles += cost_.simple;
+    cycles += cost_.simple;
     gprs_[d->a] = TruncToWidth(gprs_[d->b], d->width);
     NSF_PROLOGUE(d->fetch_addr2, d->fetch_size2, d->fetch_lines2);
-    counters_.micro_cycles += cost_.simple;
+    cycles += cost_.simple;
     const uint32_t w2 = NSF_PAIR2_W;
     uint64_t av = TruncToWidth(gprs_[NSF_PAIR2_DST], w2);
     uint64_t bv = TruncToWidth(gprs_[NSF_PAIR2_SRC], w2);
@@ -1237,22 +1258,22 @@ nsf_dispatch:
   // --- data movement ---
 
   NSF_CASE(MovRR) {
-    counters_.micro_cycles += cost_.simple;
+    cycles += cost_.simple;
     gprs_[d->a] = TruncToWidth(gprs_[d->b], d->width);
     NSF_NEXT(dpc + 1);
   }
 
   NSF_CASE(MovRI) {
-    counters_.micro_cycles += cost_.simple;
+    cycles += cost_.simple;
     gprs_[d->a] = static_cast<uint64_t>(d->imm);
     NSF_NEXT(dpc + 1);
   }
 
   NSF_CASE(MovRM) {
-    counters_.micro_cycles += cost_.simple;
+    cycles += cost_.simple;
     uint8_t* p;
     if (!DataAccess(DAddr(gprs_, d->mem), d->width, false, &p)) {
-      return pending_trap_;
+      NSF_RETURN(pending_trap_);
     }
     uint64_t v = LoadWidth(p, d->width);
     gprs_[d->a] = v;
@@ -1260,32 +1281,32 @@ nsf_dispatch:
   }
 
   NSF_CASE(MovMR) {
-    counters_.micro_cycles += cost_.simple;
+    cycles += cost_.simple;
     uint64_t t = TruncToWidth(gprs_[d->b], d->width);
     uint8_t* p;
     if (!DataAccess(DAddr(gprs_, d->mem), d->width, true, &p)) {
-      return pending_trap_;
+      NSF_RETURN(pending_trap_);
     }
     StoreWidth(p, t, d->width);
     NSF_NEXT(dpc + 1);
   }
 
   NSF_CASE(MovMI) {
-    counters_.micro_cycles += cost_.simple;
+    cycles += cost_.simple;
     uint64_t t = static_cast<uint64_t>(d->imm);
     uint8_t* p;
     if (!DataAccess(DAddr(gprs_, d->mem), d->width, true, &p)) {
-      return pending_trap_;
+      NSF_RETURN(pending_trap_);
     }
     StoreWidth(p, t, d->width);
     NSF_NEXT(dpc + 1);
   }
 
   NSF_CASE(LoadZ) {
-    counters_.micro_cycles += cost_.simple;  // load cost added in DataAccess
+    cycles += cost_.simple;  // load cost added in DataAccess
     uint8_t* p;
     if (!DataAccess(DAddr(gprs_, d->mem), d->width, false, &p)) {
-      return pending_trap_;
+      NSF_RETURN(pending_trap_);
     }
     uint64_t v = LoadWidth(p, d->width);
     gprs_[d->a] = v;
@@ -1293,10 +1314,10 @@ nsf_dispatch:
   }
 
   NSF_CASE(LoadS) {
-    counters_.micro_cycles += cost_.simple;
+    cycles += cost_.simple;
     uint8_t* p;
     if (!DataAccess(DAddr(gprs_, d->mem), d->width, false, &p)) {
-      return pending_trap_;
+      NSF_RETURN(pending_trap_);
     }
     uint64_t v = LoadWidth(p, d->width);
     gprs_[d->a] = static_cast<uint64_t>(SignExtend(v, d->width));
@@ -1304,41 +1325,41 @@ nsf_dispatch:
   }
 
   NSF_CASE(StoreR) {
-    counters_.micro_cycles += cost_.simple;
+    cycles += cost_.simple;
     uint64_t v = TruncToWidth(gprs_[d->b], d->width);
     uint8_t* p;
     if (!DataAccess(DAddr(gprs_, d->mem), d->width, true, &p)) {
-      return pending_trap_;
+      NSF_RETURN(pending_trap_);
     }
     StoreWidth(p, v, d->width);
     NSF_NEXT(dpc + 1);
   }
 
   NSF_CASE(StoreI) {
-    counters_.micro_cycles += cost_.simple;
+    cycles += cost_.simple;
     uint64_t v = static_cast<uint64_t>(d->imm);
     uint8_t* p;
     if (!DataAccess(DAddr(gprs_, d->mem), d->width, true, &p)) {
-      return pending_trap_;
+      NSF_RETURN(pending_trap_);
     }
     StoreWidth(p, v, d->width);
     NSF_NEXT(dpc + 1);
   }
 
   NSF_CASE(Lea) {
-    counters_.micro_cycles += cost_.simple;
+    cycles += cost_.simple;
     uint64_t ea = DAddr(gprs_, d->mem);
     gprs_[d->a] = d->width == 8 ? ea : TruncToWidth(ea, 4);
     NSF_NEXT(dpc + 1);
   }
 
   NSF_CASE(Push) {
-    counters_.micro_cycles += cost_.simple;
+    cycles += cost_.simple;
     uint64_t rsp = gpr(Gpr::kRsp) - 8;
     set_gpr(Gpr::kRsp, rsp);
     uint8_t* p;
     if (!DataAccess(rsp, 8, true, &p)) {
-      return pending_trap_;
+      NSF_RETURN(pending_trap_);
     }
     uint64_t v = gprs_[d->a];
     std::memcpy(p, &v, 8);
@@ -1346,10 +1367,10 @@ nsf_dispatch:
   }
 
   NSF_CASE(Pop) {
-    counters_.micro_cycles += cost_.simple;
+    cycles += cost_.simple;
     uint8_t* p;
     if (!DataAccess(gpr(Gpr::kRsp), 8, false, &p)) {
-      return pending_trap_;
+      NSF_RETURN(pending_trap_);
     }
     uint64_t v;
     std::memcpy(&v, p, 8);
@@ -1359,7 +1380,7 @@ nsf_dispatch:
   }
 
   NSF_CASE(Xchg) {
-    counters_.micro_cycles += cost_.simple;
+    cycles += cost_.simple;
     uint64_t t = gprs_[d->a];
     gprs_[d->a] = gprs_[d->b];
     gprs_[d->b] = t;
@@ -1376,25 +1397,25 @@ nsf_dispatch:
 
 #define NSF_ALU(name, OP)                                              \
   NSF_CASE(name##RR) {                                                 \
-    counters_.micro_cycles += cost_.simple;                            \
+    cycles += cost_.simple;                            \
     uint64_t av = TruncToWidth(gprs_[d->a], d->width);                 \
     uint64_t bv = TruncToWidth(gprs_[d->b], d->width);                 \
     NSF_ALU_BODY(av OP bv);                                            \
     NSF_NEXT(dpc + 1);                                                 \
   }                                                                    \
   NSF_CASE(name##RI) {                                                 \
-    counters_.micro_cycles += cost_.simple;                            \
+    cycles += cost_.simple;                            \
     uint64_t av = TruncToWidth(gprs_[d->a], d->width);                 \
     uint64_t bv = static_cast<uint64_t>(d->imm);                       \
     NSF_ALU_BODY(av OP bv);                                            \
     NSF_NEXT(dpc + 1);                                                 \
   }                                                                    \
   NSF_CASE(name##RM) {                                                 \
-    counters_.micro_cycles += cost_.simple;                            \
+    cycles += cost_.simple;                            \
     uint64_t av = TruncToWidth(gprs_[d->a], d->width);                 \
     uint8_t* p;                                                        \
     if (!DataAccess(DAddr(gprs_, d->mem), d->width, false, &p)) {      \
-      return pending_trap_;                                            \
+      NSF_RETURN(pending_trap_);                                            \
     }                                                                  \
     uint64_t bv = LoadWidth(p, d->width);                              \
     NSF_ALU_BODY(av OP bv);                                            \
@@ -1410,7 +1431,7 @@ nsf_dispatch:
 #undef NSF_ALU
 
   NSF_CASE(ImulRR) {
-    counters_.micro_cycles += cost_.imul;
+    cycles += cost_.imul;
     uint64_t av = TruncToWidth(gprs_[d->a], d->width);
     uint64_t bv = TruncToWidth(gprs_[d->b], d->width);
     NSF_ALU_BODY(av * bv);
@@ -1418,7 +1439,7 @@ nsf_dispatch:
   }
 
   NSF_CASE(ImulRI) {
-    counters_.micro_cycles += cost_.imul;
+    cycles += cost_.imul;
     uint64_t av = TruncToWidth(gprs_[d->a], d->width);
     uint64_t bv = static_cast<uint64_t>(d->imm);
     NSF_ALU_BODY(av * bv);
@@ -1426,11 +1447,11 @@ nsf_dispatch:
   }
 
   NSF_CASE(ImulRM) {
-    counters_.micro_cycles += cost_.imul;
+    cycles += cost_.imul;
     uint64_t av = TruncToWidth(gprs_[d->a], d->width);
     uint8_t* p;
     if (!DataAccess(DAddr(gprs_, d->mem), d->width, false, &p)) {
-      return pending_trap_;
+      NSF_RETURN(pending_trap_);
     }
     uint64_t bv = LoadWidth(p, d->width);
     NSF_ALU_BODY(av * bv);
@@ -1438,35 +1459,35 @@ nsf_dispatch:
   }
 
   NSF_CASE(NegR) {
-    counters_.micro_cycles += cost_.simple;
+    cycles += cost_.simple;
     uint64_t av = TruncToWidth(gprs_[d->a], d->width);
     NSF_ALU_BODY(0 - av);
     NSF_NEXT(dpc + 1);
   }
 
   NSF_CASE(NotR) {
-    counters_.micro_cycles += cost_.simple;
+    cycles += cost_.simple;
     uint64_t av = TruncToWidth(gprs_[d->a], d->width);
     NSF_ALU_BODY(~av);
     NSF_NEXT(dpc + 1);
   }
 
   NSF_CASE(ShlRI) {
-    counters_.micro_cycles += cost_.simple;
+    cycles += cost_.simple;
     uint64_t av = TruncToWidth(gprs_[d->a], d->width);
     NSF_ALU_BODY(av << d->imm);
     NSF_NEXT(dpc + 1);
   }
 
   NSF_CASE(ShrRI) {
-    counters_.micro_cycles += cost_.simple;
+    cycles += cost_.simple;
     uint64_t av = TruncToWidth(gprs_[d->a], d->width);
     NSF_ALU_BODY(av >> d->imm);
     NSF_NEXT(dpc + 1);
   }
 
   NSF_CASE(SarRI) {
-    counters_.micro_cycles += cost_.simple;
+    cycles += cost_.simple;
     uint64_t av = TruncToWidth(gprs_[d->a], d->width);
     NSF_ALU_BODY(static_cast<uint64_t>(SignExtend(av, d->width) >> d->imm));
     NSF_NEXT(dpc + 1);
@@ -1477,21 +1498,21 @@ nsf_dispatch:
 #define NSF_CL_COUNT (gprs_[static_cast<uint8_t>(Gpr::kRcx)] & (uint32_t{d->width} * 8 - 1))
 
   NSF_CASE(ShlRC) {
-    counters_.micro_cycles += cost_.simple;
+    cycles += cost_.simple;
     uint64_t av = TruncToWidth(gprs_[d->a], d->width);
     NSF_ALU_BODY(av << NSF_CL_COUNT);
     NSF_NEXT(dpc + 1);
   }
 
   NSF_CASE(ShrRC) {
-    counters_.micro_cycles += cost_.simple;
+    cycles += cost_.simple;
     uint64_t av = TruncToWidth(gprs_[d->a], d->width);
     NSF_ALU_BODY(av >> NSF_CL_COUNT);
     NSF_NEXT(dpc + 1);
   }
 
   NSF_CASE(SarRC) {
-    counters_.micro_cycles += cost_.simple;
+    cycles += cost_.simple;
     uint64_t av = TruncToWidth(gprs_[d->a], d->width);
     NSF_ALU_BODY(static_cast<uint64_t>(SignExtend(av, d->width) >> NSF_CL_COUNT));
     NSF_NEXT(dpc + 1);
@@ -1502,7 +1523,7 @@ nsf_dispatch:
 #undef NSF_ALU_BODY
 
   NSF_CASE(CmpRR) {
-    counters_.micro_cycles += cost_.simple;
+    cycles += cost_.simple;
     uint64_t av = TruncToWidth(gprs_[d->a], d->width);
     uint64_t bv = TruncToWidth(gprs_[d->b], d->width);
     cmp_kind_ = CmpKind::kInt;
@@ -1514,7 +1535,7 @@ nsf_dispatch:
   }
 
   NSF_CASE(CmpRI) {
-    counters_.micro_cycles += cost_.simple;
+    cycles += cost_.simple;
     uint64_t av = TruncToWidth(gprs_[d->a], d->width);
     uint64_t bv = static_cast<uint64_t>(d->imm);
     cmp_kind_ = CmpKind::kInt;
@@ -1526,11 +1547,11 @@ nsf_dispatch:
   }
 
   NSF_CASE(CmpRM) {
-    counters_.micro_cycles += cost_.simple;
+    cycles += cost_.simple;
     uint64_t av = TruncToWidth(gprs_[d->a], d->width);
     uint8_t* p;
     if (!DataAccess(DAddr(gprs_, d->mem), d->width, false, &p)) {
-      return pending_trap_;
+      NSF_RETURN(pending_trap_);
     }
     uint64_t bv = LoadWidth(p, d->width);
     cmp_kind_ = CmpKind::kInt;
@@ -1542,7 +1563,7 @@ nsf_dispatch:
   }
 
   NSF_CASE(TestRR) {
-    counters_.micro_cycles += cost_.simple;
+    cycles += cost_.simple;
     uint64_t av = TruncToWidth(gprs_[d->a], d->width);
     uint64_t bv = TruncToWidth(gprs_[d->b], d->width);
     cmp_kind_ = CmpKind::kTest;
@@ -1552,7 +1573,7 @@ nsf_dispatch:
   }
 
   NSF_CASE(TestRI) {
-    counters_.micro_cycles += cost_.simple;
+    cycles += cost_.simple;
     uint64_t av = TruncToWidth(gprs_[d->a], d->width);
     uint64_t bv = static_cast<uint64_t>(d->imm);
     cmp_kind_ = CmpKind::kTest;
@@ -1562,13 +1583,13 @@ nsf_dispatch:
   }
 
   NSF_CASE(Setcc) {
-    counters_.micro_cycles += cost_.simple;
+    cycles += cost_.simple;
     gprs_[d->a] = EvalCond(static_cast<Cond>(d->cond)) ? 1 : 0;
     NSF_NEXT(dpc + 1);
   }
 
   NSF_CASE(Cdq) {
-    counters_.micro_cycles += cost_.simple;
+    cycles += cost_.simple;
     if (d->width == 8) {
       set_gpr(Gpr::kRdx, static_cast<int64_t>(gpr(Gpr::kRax)) < 0 ? ~uint64_t{0} : 0);
     } else {
@@ -1579,23 +1600,23 @@ nsf_dispatch:
   }
 
   NSF_CASE(IdivR) {
-    counters_.micro_cycles += cost_.idiv;
+    cycles += cost_.idiv;
     if (!DivOp(true, d->width, TruncToWidth(gprs_[d->b], d->width))) {
-      return pending_trap_;
+      NSF_RETURN(pending_trap_);
     }
     NSF_NEXT(dpc + 1);
   }
 
   NSF_CASE(DivR) {
-    counters_.micro_cycles += cost_.idiv;
+    cycles += cost_.idiv;
     if (!DivOp(false, d->width, TruncToWidth(gprs_[d->b], d->width))) {
-      return pending_trap_;
+      NSF_RETURN(pending_trap_);
     }
     NSF_NEXT(dpc + 1);
   }
 
   NSF_CASE(MovsxdRR) {
-    counters_.micro_cycles += cost_.simple;
+    cycles += cost_.simple;
     gprs_[d->a] = static_cast<uint64_t>(
         static_cast<int64_t>(static_cast<int32_t>(TruncToWidth(gprs_[d->b], 4))));
     NSF_NEXT(dpc + 1);
@@ -1604,17 +1625,17 @@ nsf_dispatch:
   // --- SSE scalar ---
 
   NSF_CASE(FpMovXX) {
-    counters_.micro_cycles += cost_.fp_mov;
+    cycles += cost_.fp_mov;
     uint64_t v = xmms_[d->b];
     xmms_[d->a] = d->width == 4 ? (v & 0xffffffffull) : v;
     NSF_NEXT(dpc + 1);
   }
 
   NSF_CASE(FpMovXM) {
-    counters_.micro_cycles += cost_.fp_mov;
+    cycles += cost_.fp_mov;
     uint8_t* p;
     if (!DataAccess(DAddr(gprs_, d->mem), d->width, false, &p)) {
-      return pending_trap_;
+      NSF_RETURN(pending_trap_);
     }
     uint64_t v = LoadWidth(p, d->width);
     xmms_[d->a] = d->width == 4 ? (v & 0xffffffffull) : v;
@@ -1622,11 +1643,11 @@ nsf_dispatch:
   }
 
   NSF_CASE(FpMovMX) {
-    counters_.micro_cycles += cost_.fp_mov;
+    cycles += cost_.fp_mov;
     uint64_t v = xmms_[d->b];
     uint8_t* p;
     if (!DataAccess(DAddr(gprs_, d->mem), d->width, true, &p)) {
-      return pending_trap_;
+      NSF_RETURN(pending_trap_);
     }
     StoreWidth(p, v, d->width);
     NSF_NEXT(dpc + 1);
@@ -1634,18 +1655,18 @@ nsf_dispatch:
 
 #define NSF_FP_ARITH(name, COST, EXPR)                                 \
   NSF_CASE(name##XX) {                                                 \
-    counters_.micro_cycles += (COST);                                  \
+    cycles += (COST);                                  \
     double fa = BitsToF64(xmms_[d->a]);                                \
     double fb = BitsToF64(xmms_[d->b]);                                \
     xmms_[d->a] = F64ToBits(EXPR);                                     \
     NSF_NEXT(dpc + 1);                                                 \
   }                                                                    \
   NSF_CASE(name##XM) {                                                 \
-    counters_.micro_cycles += (COST);                                  \
+    cycles += (COST);                                  \
     double fa = BitsToF64(xmms_[d->a]);                                \
     uint8_t* p;                                                        \
     if (!DataAccess(DAddr(gprs_, d->mem), 8, false, &p)) {             \
-      return pending_trap_;                                            \
+      NSF_RETURN(pending_trap_);                                            \
     }                                                                  \
     uint64_t bb = 0;                                                   \
     std::memcpy(&bb, p, 8);                                            \
@@ -1662,13 +1683,13 @@ nsf_dispatch:
 #undef NSF_FP_ARITH
 
   NSF_CASE(SqrtsdXX) {
-    counters_.micro_cycles += cost_.fp_sqrt;
+    cycles += cost_.fp_sqrt;
     xmms_[d->a] = F64ToBits(std::sqrt(BitsToF64(xmms_[d->b])));
     NSF_NEXT(dpc + 1);
   }
 
   NSF_CASE(UcomisXX) {
-    counters_.micro_cycles += cost_.fp_simple / 2;
+    cycles += cost_.fp_simple / 2;
     uint64_t ab = xmms_[d->a];
     uint64_t bb = xmms_[d->b];
     double fa = d->width == 4 ? BitsToF32(ab) : BitsToF64(ab);
@@ -1681,7 +1702,7 @@ nsf_dispatch:
   }
 
   NSF_CASE(Cvtsi2sdXR) {
-    counters_.micro_cycles += cost_.fp_simple;
+    cycles += cost_.fp_simple;
     uint64_t v = TruncToWidth(gprs_[d->b], d->width);
     double r = (d->flags & DInstr::kFlagSignExtend)
                    ? static_cast<double>(SignExtend(v, d->width))
@@ -1691,24 +1712,24 @@ nsf_dispatch:
   }
 
   NSF_CASE(Cvttsd2siRX) {
-    counters_.micro_cycles += cost_.fp_simple;
+    cycles += cost_.fp_simple;
     double v = BitsToF64(xmms_[d->b]);
     uint64_t r;
     if (!TruncFloatToInt(v, d->width, (d->flags & DInstr::kFlagSignExtend) != 0, &r)) {
-      return pending_trap_;
+      NSF_RETURN(pending_trap_);
     }
     gprs_[d->a] = r;
     NSF_NEXT(dpc + 1);
   }
 
   NSF_CASE(MovqToXmm) {
-    counters_.micro_cycles += cost_.fp_mov;
+    cycles += cost_.fp_mov;
     xmms_[d->a] = gprs_[d->b];
     NSF_NEXT(dpc + 1);
   }
 
   NSF_CASE(MovqFromXmm) {
-    counters_.micro_cycles += cost_.fp_mov;
+    cycles += cost_.fp_mov;
     gprs_[d->a] = xmms_[d->b];
     NSF_NEXT(dpc + 1);
   }
@@ -1717,11 +1738,13 @@ nsf_dispatch:
   }
   pending_trap_ = TrapKind::kHostError;
   trap_msg_ = "unknown handler";
-  return pending_trap_;
+  NSF_RETURN(pending_trap_);
 #endif
 
 #undef NSF_CASE
 #undef NSF_CASE_RAW
+#undef NSF_SYNC
+#undef NSF_RETURN
 #undef NSF_NEXT
 #undef NSF_PROLOGUE
 #undef NSF_COUNT_DISPATCH
