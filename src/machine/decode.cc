@@ -830,7 +830,8 @@ DecodedProgram Predecode(const MProgram& program) {
 // The execution core. One set of handler bodies, two dispatch backends:
 // computed goto (labels as values) or a portable switch. NSF_CASE opens a
 // handler and charges the instruction fetch + retirement + fuel (the shared
-// prologue); NSF_NEXT transfers to the record at the given decoded index.
+// prologue); NSF_STEP falls through to the next record by bumping the record
+// pointer, NSF_NEXT transfers to the record at the given decoded index.
 // ---------------------------------------------------------------------------
 
 TrapKind SimMachine::ExecDecoded() {
@@ -838,7 +839,6 @@ TrapKind SimMachine::ExecDecoded() {
   const uint64_t fuel = fuel_ != 0 ? fuel_ : kSimDefaultFuel;
   const DecodedFunc* dfunc = &dp.funcs[cur_func_];
   const DInstr* code = dfunc->code.data();
-  uint32_t dpc = 0;
   const DInstr* d = code;
   // Retirement count and static cycle charges live in locals so they can stay
   // in registers; NSF_SYNC writes them back before every return and before a
@@ -915,7 +915,8 @@ TrapKind SimMachine::ExecDecoded() {
   } while (0)
 #define NSF_SAMPLE_BACKEDGE(tgt)                                   \
   do {                                                             \
-    if (sample_period_ != 0 && (tgt) <= dpc && --sample_tick_ == 0) { \
+    if (sample_period_ != 0 && (tgt) <= static_cast<uint32_t>(d - code) && \
+        --sample_tick_ == 0) {                                     \
       RecordSample(cur_func_, /*backedge=*/true);                  \
     }                                                              \
   } while (0)
@@ -931,10 +932,14 @@ TrapKind SimMachine::ExecDecoded() {
   NSF_COUNT_DISPATCH(); \
   NSF_PROLOGUE(d->fetch_addr, d->fetch_size, d->fetch_lines);
 #define NSF_CASE_RAW(name) L_##name:
+#define NSF_STEP()               \
+  do {                           \
+    ++d;                         \
+    goto* kLabels[d->handler];   \
+  } while (0)
 #define NSF_NEXT(n)              \
   do {                           \
-    dpc = (n);                   \
-    d = code + dpc;              \
+    d = code + (n);              \
     goto* kLabels[d->handler];   \
   } while (0)
   goto* kLabels[d->handler];
@@ -944,13 +949,17 @@ TrapKind SimMachine::ExecDecoded() {
     NSF_COUNT_DISPATCH(); \
     NSF_PROLOGUE(d->fetch_addr, d->fetch_size, d->fetch_lines);
 #define NSF_CASE_RAW(name) case HOp::k##name:
+#define NSF_STEP()      \
+  do {                  \
+    ++d;                \
+    goto nsf_dispatch;  \
+  } while (0)
 #define NSF_NEXT(n)     \
   do {                  \
-    dpc = (n);          \
+    d = code + (n);     \
     goto nsf_dispatch;  \
   } while (0)
 nsf_dispatch:
-  d = code + dpc;
   switch (static_cast<HOp>(d->handler)) {
 #endif
 
@@ -968,7 +977,7 @@ nsf_dispatch:
     if (!ExecGenericOp(*d->orig)) {
       NSF_RETURN(pending_trap_);
     }
-    NSF_NEXT(dpc + 1);
+    NSF_STEP();
   }
 
   NSF_CASE(Jmp) {
@@ -989,7 +998,7 @@ nsf_dispatch:
       NSF_SAMPLE_BACKEDGE(d->target);
       NSF_NEXT(d->target);
     }
-    NSF_NEXT(dpc + 1);
+    NSF_STEP();
   }
 
   NSF_CASE(Call) {
@@ -1007,7 +1016,7 @@ nsf_dispatch:
       pending_trap_ = TrapKind::kCallStackExhausted;
       NSF_RETURN(pending_trap_);
     }
-    frames_.push_back(Frame{cur_func_, dpc + 1});
+    frames_.push_back(Frame{cur_func_, static_cast<uint32_t>(d - code + 1)});
     cur_func_ = d->target;
     dfunc = &dp.funcs[cur_func_];
     code = dfunc->code.data();
@@ -1035,7 +1044,7 @@ nsf_dispatch:
       pending_trap_ = TrapKind::kCallStackExhausted;
       NSF_RETURN(pending_trap_);
     }
-    frames_.push_back(Frame{cur_func_, dpc + 1});
+    frames_.push_back(Frame{cur_func_, static_cast<uint32_t>(d - code + 1)});
     cur_func_ = static_cast<uint32_t>(target);
     dfunc = &dp.funcs[cur_func_];
     code = dfunc->code.data();
@@ -1081,7 +1090,7 @@ nsf_dispatch:
       trap_msg_ = StrFormat("no host hook %u", d->target);
       NSF_RETURN(pending_trap_);
     }
-    NSF_NEXT(dpc + 1);
+    NSF_STEP();
   }
 
   NSF_CASE(CallHostTrap) {
@@ -1098,7 +1107,7 @@ nsf_dispatch:
     counters_.branches_retired++;
     counters_.calls++;
     set_gpr(Gpr::kRax, heap_pages());
-    NSF_NEXT(dpc + 1);
+    NSF_STEP();
   }
 
   NSF_CASE(CallHostMemGrow) {
@@ -1113,7 +1122,7 @@ nsf_dispatch:
       heap_.resize((old_pages + delta) * 65536);
       set_gpr(Gpr::kRax, old_pages);
     }
-    NSF_NEXT(dpc + 1);
+    NSF_STEP();
   }
 
   // --- fused cmp|test + jcc ---
@@ -1132,7 +1141,7 @@ nsf_dispatch:
     NSF_SAMPLE_BACKEDGE(d->target);                                 \
     NSF_NEXT(d->target);                                            \
   }                                                                 \
-  NSF_NEXT(dpc + 1)
+  NSF_STEP()
 
   NSF_CASE(FusedCmpJccRR) {
     cycles += cost_.simple;
@@ -1221,7 +1230,7 @@ nsf_dispatch:
     NSF_PROLOGUE(d->fetch_addr2, d->fetch_size2, d->fetch_lines2);
     cycles += cost_.simple;
     gprs_[NSF_PAIR2_DST] = TruncToWidth(gprs_[NSF_PAIR2_SRC], NSF_PAIR2_W);
-    NSF_NEXT(dpc + 1);
+    NSF_STEP();
   }
 
   NSF_CASE(FusedLoadZMovRR) {
@@ -1235,7 +1244,7 @@ nsf_dispatch:
     NSF_PROLOGUE(d->fetch_addr2, d->fetch_size2, d->fetch_lines2);
     cycles += cost_.simple;
     gprs_[NSF_PAIR2_DST] = TruncToWidth(gprs_[NSF_PAIR2_SRC], NSF_PAIR2_W);
-    NSF_NEXT(dpc + 1);
+    NSF_STEP();
   }
 
   NSF_CASE(FusedMovRRAddRR) {
@@ -1248,7 +1257,7 @@ nsf_dispatch:
     uint64_t bv = TruncToWidth(gprs_[NSF_PAIR2_SRC], w2);
     uint64_t rv = av + bv;
     gprs_[NSF_PAIR2_DST] = w2 == 8 ? rv : TruncToWidth(rv, w2);
-    NSF_NEXT(dpc + 1);
+    NSF_STEP();
   }
 
 #undef NSF_PAIR2_DST
@@ -1260,13 +1269,13 @@ nsf_dispatch:
   NSF_CASE(MovRR) {
     cycles += cost_.simple;
     gprs_[d->a] = TruncToWidth(gprs_[d->b], d->width);
-    NSF_NEXT(dpc + 1);
+    NSF_STEP();
   }
 
   NSF_CASE(MovRI) {
     cycles += cost_.simple;
     gprs_[d->a] = static_cast<uint64_t>(d->imm);
-    NSF_NEXT(dpc + 1);
+    NSF_STEP();
   }
 
   NSF_CASE(MovRM) {
@@ -1277,7 +1286,7 @@ nsf_dispatch:
     }
     uint64_t v = LoadWidth(p, d->width);
     gprs_[d->a] = v;
-    NSF_NEXT(dpc + 1);
+    NSF_STEP();
   }
 
   NSF_CASE(MovMR) {
@@ -1288,7 +1297,7 @@ nsf_dispatch:
       NSF_RETURN(pending_trap_);
     }
     StoreWidth(p, t, d->width);
-    NSF_NEXT(dpc + 1);
+    NSF_STEP();
   }
 
   NSF_CASE(MovMI) {
@@ -1299,7 +1308,7 @@ nsf_dispatch:
       NSF_RETURN(pending_trap_);
     }
     StoreWidth(p, t, d->width);
-    NSF_NEXT(dpc + 1);
+    NSF_STEP();
   }
 
   NSF_CASE(LoadZ) {
@@ -1310,7 +1319,7 @@ nsf_dispatch:
     }
     uint64_t v = LoadWidth(p, d->width);
     gprs_[d->a] = v;
-    NSF_NEXT(dpc + 1);
+    NSF_STEP();
   }
 
   NSF_CASE(LoadS) {
@@ -1321,7 +1330,7 @@ nsf_dispatch:
     }
     uint64_t v = LoadWidth(p, d->width);
     gprs_[d->a] = static_cast<uint64_t>(SignExtend(v, d->width));
-    NSF_NEXT(dpc + 1);
+    NSF_STEP();
   }
 
   NSF_CASE(StoreR) {
@@ -1332,7 +1341,7 @@ nsf_dispatch:
       NSF_RETURN(pending_trap_);
     }
     StoreWidth(p, v, d->width);
-    NSF_NEXT(dpc + 1);
+    NSF_STEP();
   }
 
   NSF_CASE(StoreI) {
@@ -1343,14 +1352,14 @@ nsf_dispatch:
       NSF_RETURN(pending_trap_);
     }
     StoreWidth(p, v, d->width);
-    NSF_NEXT(dpc + 1);
+    NSF_STEP();
   }
 
   NSF_CASE(Lea) {
     cycles += cost_.simple;
     uint64_t ea = DAddr(gprs_, d->mem);
     gprs_[d->a] = d->width == 8 ? ea : TruncToWidth(ea, 4);
-    NSF_NEXT(dpc + 1);
+    NSF_STEP();
   }
 
   NSF_CASE(Push) {
@@ -1363,7 +1372,7 @@ nsf_dispatch:
     }
     uint64_t v = gprs_[d->a];
     std::memcpy(p, &v, 8);
-    NSF_NEXT(dpc + 1);
+    NSF_STEP();
   }
 
   NSF_CASE(Pop) {
@@ -1376,7 +1385,7 @@ nsf_dispatch:
     std::memcpy(&v, p, 8);
     gprs_[d->a] = v;
     set_gpr(Gpr::kRsp, gpr(Gpr::kRsp) + 8);
-    NSF_NEXT(dpc + 1);
+    NSF_STEP();
   }
 
   NSF_CASE(Xchg) {
@@ -1384,7 +1393,7 @@ nsf_dispatch:
     uint64_t t = gprs_[d->a];
     gprs_[d->a] = gprs_[d->b];
     gprs_[d->b] = t;
-    NSF_NEXT(dpc + 1);
+    NSF_STEP();
   }
 
   // --- integer ALU ---
@@ -1401,14 +1410,14 @@ nsf_dispatch:
     uint64_t av = TruncToWidth(gprs_[d->a], d->width);                 \
     uint64_t bv = TruncToWidth(gprs_[d->b], d->width);                 \
     NSF_ALU_BODY(av OP bv);                                            \
-    NSF_NEXT(dpc + 1);                                                 \
+    NSF_STEP();                                                 \
   }                                                                    \
   NSF_CASE(name##RI) {                                                 \
     cycles += cost_.simple;                            \
     uint64_t av = TruncToWidth(gprs_[d->a], d->width);                 \
     uint64_t bv = static_cast<uint64_t>(d->imm);                       \
     NSF_ALU_BODY(av OP bv);                                            \
-    NSF_NEXT(dpc + 1);                                                 \
+    NSF_STEP();                                                 \
   }                                                                    \
   NSF_CASE(name##RM) {                                                 \
     cycles += cost_.simple;                            \
@@ -1419,7 +1428,7 @@ nsf_dispatch:
     }                                                                  \
     uint64_t bv = LoadWidth(p, d->width);                              \
     NSF_ALU_BODY(av OP bv);                                            \
-    NSF_NEXT(dpc + 1);                                                 \
+    NSF_STEP();                                                 \
   }
 
   NSF_ALU(Add, +)
@@ -1435,7 +1444,7 @@ nsf_dispatch:
     uint64_t av = TruncToWidth(gprs_[d->a], d->width);
     uint64_t bv = TruncToWidth(gprs_[d->b], d->width);
     NSF_ALU_BODY(av * bv);
-    NSF_NEXT(dpc + 1);
+    NSF_STEP();
   }
 
   NSF_CASE(ImulRI) {
@@ -1443,7 +1452,7 @@ nsf_dispatch:
     uint64_t av = TruncToWidth(gprs_[d->a], d->width);
     uint64_t bv = static_cast<uint64_t>(d->imm);
     NSF_ALU_BODY(av * bv);
-    NSF_NEXT(dpc + 1);
+    NSF_STEP();
   }
 
   NSF_CASE(ImulRM) {
@@ -1455,42 +1464,42 @@ nsf_dispatch:
     }
     uint64_t bv = LoadWidth(p, d->width);
     NSF_ALU_BODY(av * bv);
-    NSF_NEXT(dpc + 1);
+    NSF_STEP();
   }
 
   NSF_CASE(NegR) {
     cycles += cost_.simple;
     uint64_t av = TruncToWidth(gprs_[d->a], d->width);
     NSF_ALU_BODY(0 - av);
-    NSF_NEXT(dpc + 1);
+    NSF_STEP();
   }
 
   NSF_CASE(NotR) {
     cycles += cost_.simple;
     uint64_t av = TruncToWidth(gprs_[d->a], d->width);
     NSF_ALU_BODY(~av);
-    NSF_NEXT(dpc + 1);
+    NSF_STEP();
   }
 
   NSF_CASE(ShlRI) {
     cycles += cost_.simple;
     uint64_t av = TruncToWidth(gprs_[d->a], d->width);
     NSF_ALU_BODY(av << d->imm);
-    NSF_NEXT(dpc + 1);
+    NSF_STEP();
   }
 
   NSF_CASE(ShrRI) {
     cycles += cost_.simple;
     uint64_t av = TruncToWidth(gprs_[d->a], d->width);
     NSF_ALU_BODY(av >> d->imm);
-    NSF_NEXT(dpc + 1);
+    NSF_STEP();
   }
 
   NSF_CASE(SarRI) {
     cycles += cost_.simple;
     uint64_t av = TruncToWidth(gprs_[d->a], d->width);
     NSF_ALU_BODY(static_cast<uint64_t>(SignExtend(av, d->width) >> d->imm));
-    NSF_NEXT(dpc + 1);
+    NSF_STEP();
   }
 
   // Shifts by cl: the count is rcx masked to the operation width, exactly as
@@ -1501,21 +1510,21 @@ nsf_dispatch:
     cycles += cost_.simple;
     uint64_t av = TruncToWidth(gprs_[d->a], d->width);
     NSF_ALU_BODY(av << NSF_CL_COUNT);
-    NSF_NEXT(dpc + 1);
+    NSF_STEP();
   }
 
   NSF_CASE(ShrRC) {
     cycles += cost_.simple;
     uint64_t av = TruncToWidth(gprs_[d->a], d->width);
     NSF_ALU_BODY(av >> NSF_CL_COUNT);
-    NSF_NEXT(dpc + 1);
+    NSF_STEP();
   }
 
   NSF_CASE(SarRC) {
     cycles += cost_.simple;
     uint64_t av = TruncToWidth(gprs_[d->a], d->width);
     NSF_ALU_BODY(static_cast<uint64_t>(SignExtend(av, d->width) >> NSF_CL_COUNT));
-    NSF_NEXT(dpc + 1);
+    NSF_STEP();
   }
 
 #undef NSF_CL_COUNT
@@ -1531,7 +1540,7 @@ nsf_dispatch:
     cmp_ub_ = bv;
     cmp_sa_ = SignExtend(av, d->width);
     cmp_sb_ = SignExtend(bv, d->width);
-    NSF_NEXT(dpc + 1);
+    NSF_STEP();
   }
 
   NSF_CASE(CmpRI) {
@@ -1543,7 +1552,7 @@ nsf_dispatch:
     cmp_ub_ = bv;
     cmp_sa_ = SignExtend(av, d->width);
     cmp_sb_ = SignExtend(bv, d->width);
-    NSF_NEXT(dpc + 1);
+    NSF_STEP();
   }
 
   NSF_CASE(CmpRM) {
@@ -1559,7 +1568,7 @@ nsf_dispatch:
     cmp_ub_ = bv;
     cmp_sa_ = SignExtend(av, d->width);
     cmp_sb_ = SignExtend(bv, d->width);
-    NSF_NEXT(dpc + 1);
+    NSF_STEP();
   }
 
   NSF_CASE(TestRR) {
@@ -1569,7 +1578,7 @@ nsf_dispatch:
     cmp_kind_ = CmpKind::kTest;
     cmp_test_ = av & bv;
     cmp_test_sign_ = SignExtend(cmp_test_, d->width) < 0;
-    NSF_NEXT(dpc + 1);
+    NSF_STEP();
   }
 
   NSF_CASE(TestRI) {
@@ -1579,13 +1588,13 @@ nsf_dispatch:
     cmp_kind_ = CmpKind::kTest;
     cmp_test_ = av & bv;
     cmp_test_sign_ = SignExtend(cmp_test_, d->width) < 0;
-    NSF_NEXT(dpc + 1);
+    NSF_STEP();
   }
 
   NSF_CASE(Setcc) {
     cycles += cost_.simple;
     gprs_[d->a] = EvalCond(static_cast<Cond>(d->cond)) ? 1 : 0;
-    NSF_NEXT(dpc + 1);
+    NSF_STEP();
   }
 
   NSF_CASE(Cdq) {
@@ -1596,7 +1605,7 @@ nsf_dispatch:
       uint32_t eax = static_cast<uint32_t>(gpr(Gpr::kRax));
       set_gpr(Gpr::kRdx, static_cast<int32_t>(eax) < 0 ? 0xffffffffull : 0);
     }
-    NSF_NEXT(dpc + 1);
+    NSF_STEP();
   }
 
   NSF_CASE(IdivR) {
@@ -1604,7 +1613,7 @@ nsf_dispatch:
     if (!DivOp(true, d->width, TruncToWidth(gprs_[d->b], d->width))) {
       NSF_RETURN(pending_trap_);
     }
-    NSF_NEXT(dpc + 1);
+    NSF_STEP();
   }
 
   NSF_CASE(DivR) {
@@ -1612,14 +1621,14 @@ nsf_dispatch:
     if (!DivOp(false, d->width, TruncToWidth(gprs_[d->b], d->width))) {
       NSF_RETURN(pending_trap_);
     }
-    NSF_NEXT(dpc + 1);
+    NSF_STEP();
   }
 
   NSF_CASE(MovsxdRR) {
     cycles += cost_.simple;
     gprs_[d->a] = static_cast<uint64_t>(
         static_cast<int64_t>(static_cast<int32_t>(TruncToWidth(gprs_[d->b], 4))));
-    NSF_NEXT(dpc + 1);
+    NSF_STEP();
   }
 
   // --- SSE scalar ---
@@ -1628,7 +1637,7 @@ nsf_dispatch:
     cycles += cost_.fp_mov;
     uint64_t v = xmms_[d->b];
     xmms_[d->a] = d->width == 4 ? (v & 0xffffffffull) : v;
-    NSF_NEXT(dpc + 1);
+    NSF_STEP();
   }
 
   NSF_CASE(FpMovXM) {
@@ -1639,7 +1648,7 @@ nsf_dispatch:
     }
     uint64_t v = LoadWidth(p, d->width);
     xmms_[d->a] = d->width == 4 ? (v & 0xffffffffull) : v;
-    NSF_NEXT(dpc + 1);
+    NSF_STEP();
   }
 
   NSF_CASE(FpMovMX) {
@@ -1650,7 +1659,7 @@ nsf_dispatch:
       NSF_RETURN(pending_trap_);
     }
     StoreWidth(p, v, d->width);
-    NSF_NEXT(dpc + 1);
+    NSF_STEP();
   }
 
 #define NSF_FP_ARITH(name, COST, EXPR)                                 \
@@ -1659,7 +1668,7 @@ nsf_dispatch:
     double fa = BitsToF64(xmms_[d->a]);                                \
     double fb = BitsToF64(xmms_[d->b]);                                \
     xmms_[d->a] = F64ToBits(EXPR);                                     \
-    NSF_NEXT(dpc + 1);                                                 \
+    NSF_STEP();                                                 \
   }                                                                    \
   NSF_CASE(name##XM) {                                                 \
     cycles += (COST);                                  \
@@ -1672,7 +1681,7 @@ nsf_dispatch:
     std::memcpy(&bb, p, 8);                                            \
     double fb = BitsToF64(bb);                                         \
     xmms_[d->a] = F64ToBits(EXPR);                                     \
-    NSF_NEXT(dpc + 1);                                                 \
+    NSF_STEP();                                                 \
   }
 
   NSF_FP_ARITH(Addsd, cost_.fp_simple, fa + fb)
@@ -1685,7 +1694,7 @@ nsf_dispatch:
   NSF_CASE(SqrtsdXX) {
     cycles += cost_.fp_sqrt;
     xmms_[d->a] = F64ToBits(std::sqrt(BitsToF64(xmms_[d->b])));
-    NSF_NEXT(dpc + 1);
+    NSF_STEP();
   }
 
   NSF_CASE(UcomisXX) {
@@ -1698,7 +1707,7 @@ nsf_dispatch:
     fp_unordered_ = std::isnan(fa) || std::isnan(fb);
     fp_equal_ = fa == fb;
     fp_less_ = fa < fb;
-    NSF_NEXT(dpc + 1);
+    NSF_STEP();
   }
 
   NSF_CASE(Cvtsi2sdXR) {
@@ -1708,7 +1717,7 @@ nsf_dispatch:
                    ? static_cast<double>(SignExtend(v, d->width))
                    : static_cast<double>(v);
     xmms_[d->a] = F64ToBits(r);
-    NSF_NEXT(dpc + 1);
+    NSF_STEP();
   }
 
   NSF_CASE(Cvttsd2siRX) {
@@ -1719,19 +1728,19 @@ nsf_dispatch:
       NSF_RETURN(pending_trap_);
     }
     gprs_[d->a] = r;
-    NSF_NEXT(dpc + 1);
+    NSF_STEP();
   }
 
   NSF_CASE(MovqToXmm) {
     cycles += cost_.fp_mov;
     xmms_[d->a] = gprs_[d->b];
-    NSF_NEXT(dpc + 1);
+    NSF_STEP();
   }
 
   NSF_CASE(MovqFromXmm) {
     cycles += cost_.fp_mov;
     gprs_[d->a] = xmms_[d->b];
-    NSF_NEXT(dpc + 1);
+    NSF_STEP();
   }
 
 #if !NSF_COMPUTED_GOTO
@@ -1746,6 +1755,7 @@ nsf_dispatch:
 #undef NSF_SYNC
 #undef NSF_RETURN
 #undef NSF_NEXT
+#undef NSF_STEP
 #undef NSF_PROLOGUE
 #undef NSF_COUNT_DISPATCH
 #undef NSF_SAMPLE_CALL
