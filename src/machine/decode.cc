@@ -195,6 +195,24 @@ bool FallsThroughToNext(HOp h) {
   }
 }
 
+// Records whose `target` is a decoded branch target: jmp, jcc, and the fused
+// cmp|test + jcc macro-ops.
+bool IsBranchRecord(HOp h) {
+  switch (h) {
+    case HOp::kJmp:
+    case HOp::kJcc:
+    case HOp::kFusedCmpJccRR:
+    case HOp::kFusedCmpJccRI:
+    case HOp::kFusedCmpJccRM:
+    case HOp::kFusedTestJccRR:
+    case HOp::kFusedTestJccRI:
+    case HOp::kFusedGenJcc:
+      return true;
+    default:
+      return false;
+  }
+}
+
 uint64_t DAddr(const uint64_t* gprs, const DMem& m) {
   uint64_t addr = static_cast<uint64_t>(static_cast<int64_t>(m.disp));
   if (m.base >= 0) {
@@ -807,6 +825,9 @@ DecodedProgram Predecode(const MProgram& program) {
           dp.stats.generic++;
         }
       }
+      if (IsBranchRecord(static_cast<HOp>(d.handler)) && d.target <= df.code.size()) {
+        d.flags |= DInstr::kFlagBackEdge;
+      }
       prev_falls_through = FallsThroughToNext(static_cast<HOp>(d.handler));
       df.code.push_back(d);
     }
@@ -904,18 +925,19 @@ TrapKind SimMachine::ExecDecoded() {
 // set_sampler): every sample_period_-th back-edge/call records one sample
 // into machine-local vectors. When sampling is off (period 0, the default)
 // each hook is one predictable compare against a cached member; the cold
-// RecordSample slice re-arms the countdown out of line. The hooks read only
-// sampling-local state — PerfCounters are bit-identical with sampling on,
-// off, or the sink absent.
+// RecordSample slice re-arms the countdown out of line. A taken branch is a
+// back edge when predecode set DInstr::kFlagBackEdge on its record. The hooks
+// read only sampling-local state — PerfCounters are bit-identical with
+// sampling on, off, or the sink absent.
 #define NSF_SAMPLE_CALL()                                          \
   do {                                                             \
     if (sample_period_ != 0 && --sample_tick_ == 0) {              \
       RecordSample(cur_func_, /*backedge=*/false);                 \
     }                                                              \
   } while (0)
-#define NSF_SAMPLE_BACKEDGE(tgt)                                   \
+#define NSF_SAMPLE_BACKEDGE()                                      \
   do {                                                             \
-    if (sample_period_ != 0 && (tgt) <= static_cast<uint32_t>(d - code) && \
+    if (sample_period_ != 0 && (d->flags & DInstr::kFlagBackEdge) != 0 && \
         --sample_tick_ == 0) {                                     \
       RecordSample(cur_func_, /*backedge=*/true);                  \
     }                                                              \
@@ -984,7 +1006,7 @@ nsf_dispatch:
     cycles += cost_.branch + cost_.branch_taken_extra;
     counters_.branches_retired++;
     counters_.taken_branches++;
-    NSF_SAMPLE_BACKEDGE(d->target);
+    NSF_SAMPLE_BACKEDGE();
     NSF_NEXT(d->target);
   }
 
@@ -995,7 +1017,7 @@ nsf_dispatch:
     if (EvalCond(static_cast<Cond>(d->cond))) {
       counters_.taken_branches++;
       cycles += cost_.branch_taken_extra;
-      NSF_SAMPLE_BACKEDGE(d->target);
+      NSF_SAMPLE_BACKEDGE();
       NSF_NEXT(d->target);
     }
     NSF_STEP();
@@ -1138,7 +1160,7 @@ nsf_dispatch:
   if (EvalCond(static_cast<Cond>(d->cond))) {                       \
     counters_.taken_branches++;                                     \
     cycles += cost_.branch_taken_extra;             \
-    NSF_SAMPLE_BACKEDGE(d->target);                                 \
+    NSF_SAMPLE_BACKEDGE();                                 \
     NSF_NEXT(d->target);                                            \
   }                                                                 \
   NSF_STEP()

@@ -141,7 +141,7 @@ struct DInstr {
   uint8_t a = 0;            // dst gpr/xmm index
   uint8_t b = 0;            // src gpr/xmm index
   uint8_t cond = 0;         // Cond (jcc/setcc, incl. the fused jcc)
-  uint8_t flags = 0;        // kFlagSignExtend
+  uint8_t flags = 0;        // kFlagSignExtend | kFlagBackEdge
   uint8_t fetch_lines = 1;  // L1i lines spanned by this fetch; 0 = elided, must hit
   uint64_t fetch_addr = 0;  // code_base + instr_offsets[pc]
   uint32_t fetch_size = 0;  // EncodedSize(instr)
@@ -155,6 +155,9 @@ struct DInstr {
   const MInstr* orig = nullptr;  // original primary instruction
 
   static constexpr uint8_t kFlagSignExtend = 1;
+  // Jmp, Jcc or fused-jcc record whose target index is <= its own: the
+  // sampling hook's back-edge test, resolved at predecode.
+  static constexpr uint8_t kFlagBackEdge = 2;
 };
 
 struct DecodedFunc {

@@ -127,6 +127,18 @@ std::string VerifyDecodedProgram(const MProgram& prog, const DecodedProgram& dp)
         return at(di, StrFormat("branch target %u out of range (%zu decoded records)", d.target,
                                 df.code.size()));
       }
+      // Back-edge flag: set exactly on branch records whose target index is
+      // at or before their own.
+      const bool flagged = (d.flags & DInstr::kFlagBackEdge) != 0;
+      if (flagged && !IsDecodedBranchHandler(h)) {
+        return at(di, "back-edge flag on a record that does not branch");
+      }
+      if (flagged && d.target > di) {
+        return at(di, StrFormat("back-edge flag on a forward branch to record %u", d.target));
+      }
+      if (IsDecodedBranchHandler(h) && !flagged && d.target <= di) {
+        return at(di, StrFormat("backward branch to record %u lacks the back-edge flag", d.target));
+      }
       if (h == HOp::kCall && d.target >= prog.funcs.size()) {
         return at(di, StrFormat("call target f%u out of range (%zu functions)", d.target,
                                 prog.funcs.size()));

@@ -340,6 +340,68 @@ TEST(VerifyDecoded, DanglingDecodedBranchRejected) {
   EXPECT_NE(diag.find("target 1000 out of range"), std::string::npos) << diag;
 }
 
+// --- Back-edge flag (DInstr::kFlagBackEdge) --------------------------------
+
+// mov rcx, 3; loop: sub rcx, 1; cmp rcx, 0; jne loop; ret — the fused
+// cmp+jne at record 2 branches back to record 1.
+MProgram CountdownLoop() {
+  return OneFunc({
+      MInstr::RI(MOp::kMov, Gpr::kRcx, 3),
+      MInstr::RI(MOp::kSub, Gpr::kRcx, 1),
+      MInstr::RI(MOp::kCmp, Gpr::kRcx, 0),
+      MInstr::JumpCc(Cond::kNe, 1),
+      Plain(MOp::kRet),
+  });
+}
+
+TEST(VerifyDecoded, BackEdgeFlagMarksOnlyBackwardBranches) {
+  MProgram prog = CountdownLoop();
+  DecodedProgram dp = Predecode(prog);
+  const std::vector<DInstr>& code = dp.funcs[0].code;
+  ASSERT_EQ(code.size(), 5u);  // mov, sub, fused cmp+jne, ret, sentinel
+  EXPECT_EQ(code[2].handler, static_cast<uint16_t>(HOp::kFusedCmpJccRI));
+  for (size_t i = 0; i < code.size(); i++) {
+    EXPECT_EQ((code[i].flags & DInstr::kFlagBackEdge) != 0, i == 2) << "record " << i;
+  }
+  EXPECT_EQ(VerifyDecodedProgram(prog, dp), "");
+  // The forward fused branch of FusablePair is not a back edge.
+  MProgram fwd = FusablePair();
+  DecodedProgram fdp = Predecode(fwd);
+  for (const DInstr& d : fdp.funcs[0].code) {
+    EXPECT_EQ(d.flags & DInstr::kFlagBackEdge, 0);
+  }
+}
+
+TEST(VerifyDecoded, BackEdgeFlagOnNonBranchRejected) {
+  MProgram prog = CountdownLoop();
+  DecodedProgram dp = Predecode(prog);
+  dp.funcs[0].code[1].flags |= DInstr::kFlagBackEdge;
+  EXPECT_EQ(VerifyDecodedProgram(prog, dp),
+            "decoded func 'broken' (#0) record #1 [SubRI]: back-edge flag on a record that does "
+            "not branch");
+}
+
+TEST(VerifyDecoded, BackEdgeFlagOnForwardBranchRejected) {
+  MProgram prog = FusablePair();
+  DecodedProgram dp = Predecode(prog);
+  DInstr& fused = dp.funcs[0].code[1];
+  ASSERT_EQ(fused.handler, static_cast<uint16_t>(HOp::kFusedCmpJccRI));
+  fused.flags |= DInstr::kFlagBackEdge;
+  EXPECT_EQ(VerifyDecodedProgram(prog, dp),
+            StrFormat("decoded func 'broken' (#0) record #1 [FusedCmpJccRI]: back-edge flag on a "
+                      "forward branch to record %u",
+                      fused.target));
+}
+
+TEST(VerifyDecoded, BackwardBranchWithoutFlagRejected) {
+  MProgram prog = CountdownLoop();
+  DecodedProgram dp = Predecode(prog);
+  dp.funcs[0].code[2].flags &= static_cast<uint8_t>(~DInstr::kFlagBackEdge);
+  EXPECT_EQ(VerifyDecodedProgram(prog, dp),
+            "decoded func 'broken' (#0) record #2 [FusedCmpJccRI]: backward branch to record 1 "
+            "lacks the back-edge flag");
+}
+
 // --- Fetch elision rule (fetch_lines / fetch_lines2 == 0) ------------------
 //
 // The verifier restates the elision rule on its own, so a bug in Predecode's
