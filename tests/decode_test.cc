@@ -78,6 +78,13 @@ BothResults RunBoth(const MProgram& prog, const std::vector<uint64_t>& args = {}
   return out;
 }
 
+MInstr HostCallFor(uint32_t id) {
+  MInstr c;
+  c.op = MOp::kCallHost;
+  c.func = id;
+  return c;
+}
+
 // --- Fused-branch edge cases ---
 
 TEST(Fusion, CmpJccPairFusesAndBranches) {
@@ -399,6 +406,126 @@ TEST(DecodeDifferential, MemoryGrowAcrossDispatches) {
   BothResults r = RunBoth(prog);
   ASSERT_TRUE(r.legacy.ok);
   EXPECT_EQ(r.legacy.ret_i, 1u);
+}
+
+// --- Shifts by cl: specialized handlers, generic semantics ---
+
+TEST(ShiftByCl, HandlersMatchLegacyAtWidthsFourAndEight) {
+  // The count is rcx masked to the width (31 or 63), upper bits ignored.
+  const uint64_t value = 0x80000001f0000003ull;
+  struct Shape {
+    MOp op;
+    HOp handler;
+  };
+  const Shape shapes[] = {{MOp::kShl, HOp::kShlRC}, {MOp::kShr, HOp::kShrRC},
+                          {MOp::kSar, HOp::kSarRC}};
+  for (const Shape& shape : shapes) {
+    for (uint8_t width : {uint8_t{4}, uint8_t{8}}) {
+      for (uint64_t count : {0ull, 31ull, 32ull, 63ull}) {
+        SCOPED_TRACE(StrFormat("%s width %u count %llu", HOpName(shape.handler), width,
+                               static_cast<unsigned long long>(count)));
+        MProgram prog;
+        MFunction f;
+        f.code.push_back(MInstr::RI(MOp::kMovImm64, Gpr::kRax, static_cast<int64_t>(value), 8));
+        f.code.push_back(
+            MInstr::RI(MOp::kMovImm64, Gpr::kRcx, static_cast<int64_t>(count | 0x700), 8));
+        MInstr sh;
+        sh.op = shape.op;
+        sh.dst = Operand::R(Gpr::kRax);
+        sh.src2 = Operand::R(Gpr::kRcx);
+        sh.width = width;
+        f.code.push_back(sh);
+        f.code.push_back(Ret());
+        prog.funcs.push_back(std::move(f));
+        prog.Link();
+
+        DecodedProgram dp = Predecode(prog);
+        const DInstr& rec = dp.funcs[0].code[dp.funcs[0].pc_to_index[2]];
+        EXPECT_EQ(rec.handler, static_cast<uint16_t>(shape.handler));
+        EXPECT_EQ(dp.stats.generic, 0u);
+
+        BothResults r = RunBoth(prog);
+        ASSERT_TRUE(r.legacy.ok) << r.legacy.error;
+        const uint64_t c = count & (uint64_t{width} * 8 - 1);
+        const uint64_t av = TruncToWidth(value, width);
+        uint64_t want = shape.op == MOp::kShl   ? av << c
+                        : shape.op == MOp::kShr ? av >> c
+                                                : static_cast<uint64_t>(SignExtend(av, width) >> c);
+        EXPECT_EQ(r.pred.ret_i, TruncToWidth(want, width));
+      }
+    }
+  }
+}
+
+// --- Local retire/cycle tallies: visible wherever the counters are read ---
+
+// A run of `n` register ALU records (no memory, no branches).
+void AppendAluRun(MFunction* f, int n) {
+  for (int i = 0; i < n; i++) {
+    f->code.push_back(MInstr::RI(i % 2 == 0 ? MOp::kAdd : MOp::kXor, Gpr::kRax, i + 1, 8));
+  }
+}
+
+TEST(DecodeDifferential, HostHookSeesLiveCounters) {
+  // Hook 0 snapshots counters() mid-run; hook 1 resets them. Both cores must
+  // show the hook the same retire count and cycles at every call.
+  MProgram prog;
+  MFunction f;
+  AppendAluRun(&f, 37);
+  f.code.push_back(HostCallFor(0));
+  AppendAluRun(&f, 12);
+  f.code.push_back(HostCallFor(1));
+  AppendAluRun(&f, 5);
+  f.code.push_back(HostCallFor(0));
+  f.code.push_back(Ret());
+  prog.funcs.push_back(std::move(f));
+  prog.Link();
+
+  std::vector<std::vector<PerfCounters>> snaps;
+  BothResults r = RunBoth(prog, {}, 0, [&snaps](SimMachine& m) {
+    snaps.emplace_back();
+    size_t run = snaps.size() - 1;
+    m.RegisterHost(0, [&snaps, run](SimMachine& sm) { snaps[run].push_back(sm.counters()); });
+    m.RegisterHost(1, [](SimMachine& sm) { sm.ResetCounters(); });
+  });
+  ASSERT_TRUE(r.legacy.ok) << r.legacy.error;
+  ASSERT_EQ(snaps.size(), 2u);
+  ASSERT_EQ(snaps[0].size(), 2u);
+  ASSERT_EQ(snaps[1].size(), 2u);
+  for (size_t i = 0; i < 2; i++) {
+    EXPECT_EQ(snaps[0][i].instructions_retired, snaps[1][i].instructions_retired) << "call " << i;
+    EXPECT_EQ(snaps[0][i].micro_cycles, snaps[1][i].micro_cycles) << "call " << i;
+    EXPECT_TRUE(snaps[0][i] == snaps[1][i]) << "call " << i;
+  }
+  EXPECT_EQ(snaps[1][0].instructions_retired, 38u);  // 37 ALU + the host call
+  EXPECT_EQ(snaps[1][1].instructions_retired, 6u);   // counted from the reset
+  EXPECT_EQ(r.pred_counters.instructions_retired, 7u);
+}
+
+TEST(DecodeDifferential, TrapsAfterLongAluRunKeepTheTallies) {
+  // The retire count and cycle charges of a long register-only run must
+  // reach counters_ on every exit: an out-of-bounds store and a fuel trap
+  // landing in the middle of the run.
+  MProgram prog;
+  prog.memory_pages = 1;
+  MFunction f;
+  AppendAluRun(&f, 300);
+  f.code.push_back(MInstr::MR(MOp::kStore,
+                              MemRef::BaseDisp(Gpr::kRdi, static_cast<int32_t>(kHeapBase)),
+                              Gpr::kRax, 8));
+  f.code.push_back(Ret());
+  prog.funcs.push_back(std::move(f));
+  prog.Link();
+
+  BothResults oob = RunBoth(prog, {65536});
+  EXPECT_EQ(oob.legacy.trap, TrapKind::kMemoryOutOfBounds);
+  EXPECT_EQ(oob.pred_counters.instructions_retired, 301u);
+  EXPECT_EQ(oob.pred_counters.stores_retired, 0u);
+
+  BothResults fuel = RunBoth(prog, {0}, /*fuel=*/150);
+  EXPECT_EQ(fuel.legacy.trap, TrapKind::kFuelExhausted);
+  EXPECT_EQ(fuel.pred_counters.instructions_retired, 151u);
+  EXPECT_GT(fuel.pred_counters.micro_cycles, 0u);
 }
 
 // --- Fetch elision: L1i probes predecode proves to be slot-0 hits ---
@@ -799,6 +926,30 @@ TEST(Predecode, GenericFallbackStaysRare) {
   EXPECT_GT(dp.stats.fused_pairs, 0u);
   EXPECT_LT(static_cast<double>(dp.stats.generic), 0.10 * static_cast<double>(dp.stats.records))
       << dp.stats.generic << " generic of " << dp.stats.records;
+
+  // Shifts by cl have their own handlers: across the suite, none may lower
+  // to kGeneric, and the compiled code must contain some to check.
+  size_t by_cl = 0;
+  for (const std::string& name : PolybenchKernelNames()) {
+    Module module = PolybenchSpec(name).build();
+    CompiledArtifact artifact = BuildArtifact(module, CodegenOptions::ChromeV8());
+    ASSERT_TRUE(artifact.ok()) << name;
+    DecodedProgram dp = Predecode(artifact.program());
+    for (const DecodedFunc& df : dp.funcs) {
+      for (const DInstr& d : df.code) {
+        HOp h = static_cast<HOp>(d.handler);
+        by_cl += h == HOp::kShlRC || h == HOp::kShrRC || h == HOp::kSarRC ? 1 : 0;
+        if (h != HOp::kGeneric) {
+          continue;
+        }
+        const MInstr& in = *d.orig;
+        bool shift = in.op == MOp::kShl || in.op == MOp::kShr || in.op == MOp::kSar;
+        EXPECT_FALSE(shift && in.dst.kind == OperandKind::kGpr && !in.src2.is_imm())
+            << name << ": " << MInstrToString(in);
+      }
+    }
+  }
+  EXPECT_GT(by_cl, 0u);
 }
 
 TEST(Predecode, EveryFunctionEndsWithSentinel) {
