@@ -152,7 +152,7 @@ bool DrrQueue::Pop(DrrItem* out) {
   for (;;) {
     Queue& q = queues_[cursor_];
     if (q.items.empty()) {
-      q.deficit = 0;  // no banking credit while idle
+      q.deficit = std::min(q.deficit, 0.0);  // no banking credit while idle; debt stays
       cursor_ = (cursor_ + 1) % queues_.size();
       continue;
     }
@@ -161,7 +161,7 @@ bool DrrQueue::Pop(DrrItem* out) {
       q.items.pop_front();
       q.deficit -= out->cost;
       if (q.items.empty()) {
-        q.deficit = 0;
+        q.deficit = std::min(q.deficit, 0.0);
       }
       total_--;
       return true;
@@ -200,10 +200,11 @@ bool DrrQueue::PopUrgent(double now_seconds, DrrItem* out) {
   q.items.pop_front();
   // Charge the jump against the tenant's deficit — possibly driving it
   // negative, so later Pop rotations make the tenant repay and long-run
-  // shares stay proportional to quanta.
+  // shares stay proportional to quanta. The debt survives the queue
+  // emptying: only credit is forfeited.
   q.deficit -= out->cost;
   if (q.items.empty()) {
-    q.deficit = 0;
+    q.deficit = std::min(q.deficit, 0.0);
   }
   total_--;
   return true;

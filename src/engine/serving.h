@@ -92,8 +92,8 @@ struct DrrItem {
 // Per-tenant FIFO queues drained under deficit round robin (Shreedhar &
 // Varghese): visiting a non-empty tenant credits its deficit by its quantum;
 // a tenant at the cursor is served while its deficit covers the head item's
-// cost. A tenant whose queue empties forfeits its deficit (no banking idle
-// credit). Service share therefore tracks quanta, not arrival rates or
+// cost. A tenant whose queue empties forfeits a positive deficit (no banking
+// idle credit) but keeps a negative one, the debt PopUrgent charges. Service share therefore tracks quanta, not arrival rates or
 // queue depths. NOT thread-safe — the serving loop guards it with its own
 // mutex; tests drive it directly and deterministically.
 class DrrQueue {

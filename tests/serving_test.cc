@@ -265,6 +265,30 @@ TEST(Drr, PopUrgentServesAPassedDeadlineAheadOfDrrOrder) {
   EXPECT_EQ(item.tenant, 0u);
 }
 
+TEST(Drr, UrgentDebtSurvivesAnEmptyQueueAndIsRepaid) {
+  // PopUrgent serves tenant 1's only item out of turn. Its queue empties,
+  // but the 0.75 debt stays; when both tenants then queue equal work, tenant
+  // 1 repays by sitting out a turn that a clean slate would have given it.
+  engine::DrrQueue q({1.0, 1.0});
+  engine::DrrItem urgent = Item(1, 0.75, 0);
+  urgent.deadline_seconds = 1.0;
+  q.Push(urgent);
+  engine::DrrItem item;
+  ASSERT_TRUE(q.PopUrgent(2.0, &item));
+  EXPECT_EQ(item.tenant, 1u);
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.deficit(1), -0.75);
+  for (int i = 0; i < 2; i++) {
+    q.Push(Item(0, 1.0, 10 + i));
+    q.Push(Item(1, 1.0, 20 + i));
+  }
+  std::vector<size_t> order;
+  while (q.Pop(&item)) {
+    order.push_back(item.tenant);
+  }
+  EXPECT_EQ(order, (std::vector<size_t>{0, 0, 1, 1}));
+}
+
 TEST(Drr, PopUrgentIsFalseWhenNoHeadIsPastItsDeadline) {
   engine::DrrQueue q({1.0, 1.0});
   engine::DrrItem item;
