@@ -887,10 +887,10 @@ TrapKind SimMachine::ExecDecoded() {
     if ((flines) == 1) {                                    \
       if (!l1i_.Access(fa)) {                               \
         counters_.l1i_misses++;                             \
-        cycles += cost_.l1_miss;            \
+        cycles += cost_.l1_miss;                            \
         if (!l2_.Access(fa)) {                              \
           counters_.l2_misses++;                            \
-          cycles += cost_.l2_miss;          \
+          cycles += cost_.l2_miss;                          \
         }                                                   \
       }                                                     \
     } else if ((flines) != 0) {                             \
@@ -1154,13 +1154,13 @@ nsf_dispatch:
 
 #define NSF_FUSED_TAIL()                                            \
   NSF_PROLOGUE(d->fetch_addr2, d->fetch_size2, d->fetch_lines2);    \
-  cycles += cost_.branch;                           \
+  cycles += cost_.branch;                                           \
   counters_.branches_retired++;                                     \
   counters_.cond_branches_retired++;                                \
   if (EvalCond(static_cast<Cond>(d->cond))) {                       \
     counters_.taken_branches++;                                     \
-    cycles += cost_.branch_taken_extra;             \
-    NSF_SAMPLE_BACKEDGE();                                 \
+    cycles += cost_.branch_taken_extra;                             \
+    NSF_SAMPLE_BACKEDGE();                                          \
     NSF_NEXT(d->target);                                            \
   }                                                                 \
   NSF_STEP()

@@ -35,11 +35,32 @@
 //     (second element not a branch target) and the same counter contract
 //     (both elements fetch, retire, and burn fuel exactly as when unfused).
 //
+//   - shifts by cl get their own handlers (ShlRC/ShrRC/SarRC), so kGeneric
+//     is left with shapes that are rare on the suite;
+//   - back edges marked at decode time (kFlagBackEdge) for the sampler.
+//
 // Dispatch is computed-goto (labels as values) on GCC/Clang; configuring with
 // -DNSF_NO_COMPUTED_GOTO=ON (or building with a compiler without the
 // extension) selects a portable switch over the same handler bodies. Both
 // backends and the legacy interpreter produce bit-identical PerfCounters —
 // tests/decode_test.cc holds them to that differentially.
+//
+// What keeps the computed-goto core threaded (SimMachine::ExecDecoded):
+//   - one indirect jump per handler. GCC merges every `goto *` into a single
+//     shared jump early and later re-duplicates only blocks of at most
+//     max-goto-duplication-insns instructions (default 8), which left three
+//     jumps for all handlers. CMakeLists.txt builds decode.cc with
+//     --param=max-goto-duplication-insns=64, and CI fails if a Release
+//     ExecDecoded has fewer than 100 `jmp *`;
+//   - pointer stepping: a fall-through handler bumps the record pointer
+//     (NSF_STEP) rather than recomputing code + index; only taken branches,
+//     calls and returns index into `code` (NSF_NEXT);
+//   - local tallies: the retire count and the handlers' own cycle charges
+//     live in locals. NSF_SYNC writes them to counters_ before every return
+//     and before a host hook runs, and the retire count is reloaded after
+//     the hook, which may ResetCounters(). DataAccess, FetchL1i and
+//     ExecGenericOp still charge counters_.micro_cycles directly; the charges
+//     are additive, so the totals are unchanged.
 #ifndef SRC_MACHINE_DECODE_H_
 #define SRC_MACHINE_DECODE_H_
 

@@ -5,7 +5,10 @@
 //   - kPredecoded (default): a DecodedProgram (src/machine/decode.h) run
 //     under threaded dispatch — computed goto where available, a portable
 //     switch behind NSF_NO_COMPUTED_GOTO. This is the fast path every
-//     engine::Instance uses.
+//     engine::Instance uses. While it runs, the retire count and its own
+//     cycle charges are held in locals and written back to counters_ before
+//     it returns and before a host hook runs, so counters() read from a hook
+//     or after Run is always exact (decode.h has the details).
 //   - kLegacy: the original giant-switch interpreter over raw MInstrs, kept
 //     as the reference semantics for the differential suite
 //     (tests/decode_test.cc) and the bench/sim_throughput speedup baseline.
