@@ -93,9 +93,10 @@ struct DrrItem {
 // Varghese): visiting a non-empty tenant credits its deficit by its quantum;
 // a tenant at the cursor is served while its deficit covers the head item's
 // cost. A tenant whose queue empties forfeits a positive deficit (no banking
-// idle credit) but keeps a negative one, the debt PopUrgent charges. Service share therefore tracks quanta, not arrival rates or
-// queue depths. NOT thread-safe — the serving loop guards it with its own
-// mutex; tests drive it directly and deterministically.
+// idle credit) but keeps a negative one, the debt PopUrgent charges. Service
+// share therefore tracks quanta, not arrival rates or queue depths. NOT
+// thread-safe — the serving loop guards it with its own mutex; tests drive it
+// directly and deterministically.
 class DrrQueue {
  public:
   // One quantum per tenant, in the same unit as DrrItem::cost. Quanta are

@@ -937,7 +937,8 @@ TrapKind SimMachine::ExecDecoded() {
   } while (0)
 #define NSF_SAMPLE_BACKEDGE()                                      \
   do {                                                             \
-    if (sample_period_ != 0 && (d->flags & DInstr::kFlagBackEdge) != 0 && \
+    if (sample_period_ != 0 &&                                     \
+        (d->flags & DInstr::kFlagBackEdge) != 0 &&                 \
         --sample_tick_ == 0) {                                     \
       RecordSample(cur_func_, /*backedge=*/true);                  \
     }                                                              \
@@ -1428,29 +1429,29 @@ nsf_dispatch:
 
 #define NSF_ALU(name, OP)                                              \
   NSF_CASE(name##RR) {                                                 \
-    cycles += cost_.simple;                            \
+    cycles += cost_.simple;                                            \
     uint64_t av = TruncToWidth(gprs_[d->a], d->width);                 \
     uint64_t bv = TruncToWidth(gprs_[d->b], d->width);                 \
     NSF_ALU_BODY(av OP bv);                                            \
-    NSF_STEP();                                                 \
+    NSF_STEP();                                                        \
   }                                                                    \
   NSF_CASE(name##RI) {                                                 \
-    cycles += cost_.simple;                            \
+    cycles += cost_.simple;                                            \
     uint64_t av = TruncToWidth(gprs_[d->a], d->width);                 \
     uint64_t bv = static_cast<uint64_t>(d->imm);                       \
     NSF_ALU_BODY(av OP bv);                                            \
-    NSF_STEP();                                                 \
+    NSF_STEP();                                                        \
   }                                                                    \
   NSF_CASE(name##RM) {                                                 \
-    cycles += cost_.simple;                            \
+    cycles += cost_.simple;                                            \
     uint64_t av = TruncToWidth(gprs_[d->a], d->width);                 \
     uint8_t* p;                                                        \
     if (!DataAccess(DAddr(gprs_, d->mem), d->width, false, &p)) {      \
-      NSF_RETURN(pending_trap_);                                            \
+      NSF_RETURN(pending_trap_);                                       \
     }                                                                  \
     uint64_t bv = LoadWidth(p, d->width);                              \
     NSF_ALU_BODY(av OP bv);                                            \
-    NSF_STEP();                                                 \
+    NSF_STEP();                                                        \
   }
 
   NSF_ALU(Add, +)
@@ -1686,24 +1687,24 @@ nsf_dispatch:
 
 #define NSF_FP_ARITH(name, COST, EXPR)                                 \
   NSF_CASE(name##XX) {                                                 \
-    cycles += (COST);                                  \
+    cycles += (COST);                                                  \
     double fa = BitsToF64(xmms_[d->a]);                                \
     double fb = BitsToF64(xmms_[d->b]);                                \
     xmms_[d->a] = F64ToBits(EXPR);                                     \
-    NSF_STEP();                                                 \
+    NSF_STEP();                                                        \
   }                                                                    \
   NSF_CASE(name##XM) {                                                 \
-    cycles += (COST);                                  \
+    cycles += (COST);                                                  \
     double fa = BitsToF64(xmms_[d->a]);                                \
     uint8_t* p;                                                        \
     if (!DataAccess(DAddr(gprs_, d->mem), 8, false, &p)) {             \
-      NSF_RETURN(pending_trap_);                                            \
+      NSF_RETURN(pending_trap_);                                       \
     }                                                                  \
     uint64_t bb = 0;                                                   \
     std::memcpy(&bb, p, 8);                                            \
     double fb = BitsToF64(bb);                                         \
     xmms_[d->a] = F64ToBits(EXPR);                                     \
-    NSF_STEP();                                                 \
+    NSF_STEP();                                                        \
   }
 
   NSF_FP_ARITH(Addsd, cost_.fp_simple, fa + fb)
