@@ -1767,6 +1767,8 @@ nsf_dispatch:
   }
 
 #if !NSF_COMPUTED_GOTO
+    case HOp::kCount:
+      break;
   }
   pending_trap_ = TrapKind::kHostError;
   trap_msg_ = "unknown handler";
