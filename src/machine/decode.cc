@@ -1527,7 +1527,7 @@ nsf_dispatch:
 
   // Shifts by cl: the count is rcx masked to the operation width, exactly as
   // ExecGenericOp computes it.
-#define NSF_CL_COUNT (gprs_[static_cast<uint8_t>(Gpr::kRcx)] & (uint32_t{d->width} * 8 - 1))
+#define NSF_CL_COUNT (gpr(Gpr::kRcx) & (uint32_t{d->width} * 8 - 1))
 
   NSF_CASE(ShlRC) {
     cycles += cost_.simple;
